@@ -11,10 +11,8 @@ import random
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .core import TemporalGraph, compress_labels
-from .game import StrategyProfile
-
-_UNION_FIND_HELP = None  # module uses small inline union-find loops
+from .core import TemporalGraph, _mono_spanning_tree, compress_labels
+from .game import DirectedTemporalGraph, StrategyProfile
 
 
 class SetCoverInstance:
@@ -112,27 +110,6 @@ class ReductionLayout:
             "v_nodes": {f"{i},{j}": node for (i, j), node in sorted(self.v_nodes.items())},
             "w_nodes": {str(i): node for i, node in sorted(self.w_nodes.items())},
         }
-
-
-def _spanning_tree_of_class(n: int, class_edges: list[tuple[int, int]]):
-    """Lexicographic Kruskal over one label class; None if it does not span."""
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    tree = []
-    for (u, v) in sorted(class_edges):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            tree.append((u, v))
-    if len(tree) != n - 1:
-        return None
-    return tree
 
 
 def gen_hypercube(d: int) -> tuple[TemporalGraph, StrategyProfile]:
@@ -363,18 +340,12 @@ def gen_t2_equilibrium(host: TemporalGraph) -> StrategyProfile:
     t = host.lifetime
     if t > 2:
         raise ValueError(f"host lifetime must be <= 2, got {t}")
-    by_label: dict[int, list[tuple[int, int]]] = {}
-    for p, lab in host.edges.items():
-        by_label.setdefault(lab, []).append(p)
-    tree = None
-    for lab in sorted(by_label):
-        tree = _spanning_tree_of_class(host.n, by_label[lab])
-        if tree is not None:
-            break
-    if tree is None:
+    mono = _mono_spanning_tree(host)
+    if mono is None:
         raise AssertionError(
             "no monochromatic spanning tree; impossible on a complete host"
         )
+    _, tree = mono
     adj: dict[int, list[int]] = {u: [] for u in range(host.n)}
     for (u, v) in tree:
         adj[u].append(v)
@@ -423,8 +394,6 @@ def gen_random_profile(host: TemporalGraph, arc_count: int, seed: int) -> Strate
 
 def gen_random_directed(n: int, arc_count: int, t: int, seed: int):
     """Standalone random directed temporal graph; experiment plumbing."""
-    from .game import DirectedTemporalGraph
-
     population = [(u, v) for u in range(n) for v in range(n) if u != v]
     if not (0 <= arc_count <= len(population)):
         raise ValueError(f"arc count {arc_count} out of range")

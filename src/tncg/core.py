@@ -200,6 +200,35 @@ def reach(g: TemporalGraph, u: int) -> set[int]:
     return g.reach(u)
 
 
+def _mono_spanning_tree(g: TemporalGraph) -> tuple[int, list[Pair]] | None:
+    """(label, tree) for the first label class that spans all nodes, else None.
+
+    The tree is the lexicographic Kruskal forest of that class: its pairs in
+    ascending order, each kept when it joins two components.
+    """
+    by_label: dict[int, list[Pair]] = {}
+    for p, label in g.edges.items():
+        by_label.setdefault(label, []).append(p)
+    for label in sorted(by_label):
+        parent = list(range(g.n))
+
+        def find(a: int) -> int:
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        tree = []
+        for (u, v) in sorted(by_label[label]):
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[ru] = rv
+                tree.append((u, v))
+        if len(tree) == g.n - 1:
+            return label, tree
+    return None
+
+
 def is_temporal_path(g: TemporalGraph, nodes: list[int]) -> bool:
     """True iff `nodes` is a simple path in g with non-decreasing labels."""
     if len(nodes) != len(set(nodes)):

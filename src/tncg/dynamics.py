@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .core import TemporalGraph
-from .game import CostVector, StrategyProfile, agent_cost
-from .responses import DEFAULT_BUDGET, exact_best_response, greedy_best_response
+from .game import CostVector, StrategyProfile
+from .responses import DEFAULT_BUDGET, _AgentView
 
 OUTCOME_GE = "converged-GE"
 OUTCOME_NE = "converged-NE"
@@ -105,17 +105,14 @@ def trace_from_dict(data: dict) -> DynamicsTrace:
 
 def _try_move(host, profile, v, rule, budget_cap):
     """(new_strategy, cost_before, cost_after) when v improves, else None."""
-    before = agent_cost(host, profile, v)
+    view = _AgentView(host, profile, v)
     if rule == "greedy":
-        strategy, improved = greedy_best_response(host, profile, v)
-        if not improved:
-            return None
-        after = agent_cost(host, profile.with_strategy(v, strategy), v)
-        return strategy, before, after
-    strategy, cost = exact_best_response(host, profile, v, budget_cap=budget_cap)
-    if not (cost < before):
+        strategy, cost = view.greedy()
+    else:
+        strategy, cost = view.exact(budget_cap)
+    if not (cost < view.cur_cost):
         return None
-    return strategy, before, cost
+    return strategy, view.cur_cost, cost
 
 
 def run_dynamics(
@@ -182,8 +179,30 @@ def run_dynamics(
             return v
         return rng.randrange(n)
 
-    def apply(v, attempt) -> None:
-        nonlocal profile, quiet
+    while True:
+        if explicit is None and quiet >= n:
+            if schedule_name == "round-robin":
+                trace.outcome = converged_outcome
+                break
+            # random schedule: confirm quiescence with a deterministic sweep
+            for v in range(n):
+                trace.activations += 1
+                attempt = _try_move(host, profile, v, rule, budget_cap)
+                if attempt is not None:
+                    break
+            if attempt is None:
+                trace.outcome = converged_outcome
+                break
+        else:
+            v = next_agent()
+            if v is None:
+                trace.outcome = OUTCOME_CAP
+                break
+            trace.activations += 1
+            attempt = _try_move(host, profile, v, rule, budget_cap)
+            if attempt is None:
+                quiet += 1
+                continue
         strategy, before, after = attempt
         old = tuple(sorted(profile.strategies[v]))
         profile = profile.with_strategy(v, strategy)
@@ -198,46 +217,6 @@ def run_dynamics(
             )
         )
         quiet = 0
-
-    while True:
-        if explicit is None and quiet >= n:
-            if schedule_name == "round-robin":
-                trace.outcome = converged_outcome
-                break
-            # random schedule: confirm quiescence with a deterministic sweep
-            attempt = None
-            sweep_agent = -1
-            for v in range(n):
-                trace.activations += 1
-                attempt = _try_move(host, profile, v, rule, budget_cap)
-                if attempt is not None:
-                    sweep_agent = v
-                    break
-            if attempt is None:
-                trace.outcome = converged_outcome
-                break
-            apply(sweep_agent, attempt)
-            key = profile.canonical()
-            if key in seen:
-                trace.outcome = OUTCOME_CYCLE
-                trace.entry = seen[key]
-                trace.period = len(trace.moves) - seen[key]
-                break
-            seen[key] = len(trace.moves)
-            if len(trace.moves) >= max_steps:
-                trace.outcome = OUTCOME_CAP
-                break
-            continue
-        v = next_agent()
-        if v is None:
-            trace.outcome = OUTCOME_CAP
-            break
-        trace.activations += 1
-        attempt = _try_move(host, profile, v, rule, budget_cap)
-        if attempt is None:
-            quiet += 1
-            continue
-        apply(v, attempt)
         key = profile.canonical()
         if key in seen:
             trace.outcome = OUTCOME_CYCLE

@@ -15,14 +15,8 @@ from typing import Optional
 
 from .core import TemporalGraph, mask_to_set
 from .errors import PreconditionViolated
-from .game import (
-    CostVector,
-    DirectedTemporalGraph,
-    StrategyProfile,
-    agent_cost,
-    created_graph,
-)
-from .responses import DEFAULT_BUDGET, exact_best_response, greedy_best_response
+from .game import CostVector, DirectedTemporalGraph, StrategyProfile, _agent_costs, created_graph
+from .responses import DEFAULT_BUDGET, _AgentView, exact_best_response, greedy_best_response
 
 
 @dataclass(frozen=True)
@@ -130,14 +124,13 @@ def check_ge(
     The witness is the first improving agent in ascending order, with its
     best greedy move.
     """
+    costs = _agent_costs(host, profile)
     witness = None
-    costs = []
     for v in range(host.n):
-        costs.append(agent_cost(host, profile, v))
-        if witness is None:
-            strategy, improved = greedy_best_response(host, profile, v)
-            if improved:
-                witness = (v, tuple(sorted(strategy)))
+        strategy, improved = greedy_best_response(host, profile, v)
+        if improved:
+            witness = (v, tuple(sorted(strategy)))
+            break
     return EquilibriumReport(
         mode="ge",
         stable=witness is None,
@@ -154,15 +147,13 @@ def check_ne(
     audit: bool = False,
 ) -> EquilibriumReport:
     """Stable iff no agent has any improving strategy (exact best responses)."""
+    costs = _agent_costs(host, profile)
     witness = None
-    costs = []
     for v in range(host.n):
-        cur = agent_cost(host, profile, v)
-        costs.append(cur)
-        if witness is None:
-            strategy, cost = exact_best_response(host, profile, v, budget_cap=budget_cap)
-            if cost < cur:
-                witness = (v, tuple(sorted(strategy)))
+        strategy, cost = exact_best_response(host, profile, v, budget_cap=budget_cap)
+        if cost < costs[v]:
+            witness = (v, tuple(sorted(strategy)))
+            break
     return EquilibriumReport(
         mode="ne",
         stable=witness is None,
@@ -170,6 +161,27 @@ def check_ne(
         agent_costs=tuple(costs),
         audit=audit_profile(host, profile) if audit else None,
     )
+
+
+def _owner_necessary_masks(
+    host: TemporalGraph, profile: StrategyProfile, u: int
+) -> dict[int, int]:
+    """Necessary-set mask of every arc (u, w) bought by u, keyed by w.
+
+    Without the arc, u reaches its base and in-neighbor covers plus the
+    covers of its other endpoints; an antiparallel twin puts cover[w] into
+    the in-neighbor covers, so its arc's set comes out empty.
+    """
+    view = _AgentView(host, profile, u)
+    fixed = view.base | view.in_mask
+    out = {}
+    for w in view.current:
+        rest = fixed
+        for x in view.current:
+            if x != w:
+                rest |= view.covers[x]
+        out[w] = view.cur_mask & ~rest
+    return out
 
 
 def necessary_set(
@@ -182,29 +194,18 @@ def necessary_set(
     """
     if w not in profile.strategies[u]:
         raise ValueError(f"arc ({u}, {w}) is not present in the profile")
-    g = created_graph(host, profile)
-    before = g.undirected().reach_mask(u)
-    arcs = dict(g.arcs)
-    del arcs[(u, w)]
-    after = DirectedTemporalGraph(g.n, arcs).undirected().reach_mask(u)
-    return mask_to_set(before & ~after)
+    return mask_to_set(_owner_necessary_masks(host, profile, u)[w])
 
 
 def _necessary_masks(
     host: TemporalGraph, profile: StrategyProfile
 ) -> dict[tuple[int, int], int]:
-    g = created_graph(host, profile)
-    und = g.undirected()
-    out: dict[tuple[int, int], int] = {}
-    reach_cache: dict[int, int] = {}
-    for (u, w) in g.arcs:
-        if u not in reach_cache:
-            reach_cache[u] = und.reach_mask(u)
-        arcs = dict(g.arcs)
-        del arcs[(u, w)]
-        after = DirectedTemporalGraph(g.n, arcs).undirected().reach_mask(u)
-        out[(u, w)] = reach_cache[u] & ~after
-    return out
+    return {
+        (u, w): mask
+        for u in range(host.n)
+        if profile.strategies[u]
+        for w, mask in _owner_necessary_masks(host, profile, u).items()
+    }
 
 
 def find_forbidden_structure(
@@ -219,14 +220,18 @@ def find_forbidden_structure(
     two distinct targets x != y.  Returns the first witness in ascending scan
     order, or None; a None on every input is the expected outcome.
     """
-    g = created_graph(host, profile)
+    return _find_forbidden(profile, created_graph(host, profile), _necessary_masks(host, profile))
+
+
+def _find_forbidden(
+    profile: StrategyProfile, g: DirectedTemporalGraph, a_masks: dict[tuple[int, int], int]
+) -> Optional[ForbiddenStructure]:
     und = g.undirected()
-    a_masks = _necessary_masks(host, profile)
-    neighbor_sets: list[list[int]] = [[] for _ in range(host.n)]
+    neighbor_sets: list[list[int]] = [[] for _ in range(g.n)]
     for (a, b) in und.edges:
         neighbor_sets[a].append(b)
         neighbor_sets[b].append(a)
-    for z in range(host.n):
+    for z in range(g.n):
         nbrs = sorted(neighbor_sets[z])
         if len(nbrs) < 2:
             continue
@@ -247,7 +252,7 @@ def find_forbidden_structure(
             for u2 in nbrs:
                 if u1 == u2 or not cand[u1] or not cand[u2]:
                     continue
-                hit = _match_targets(cand[u1], cand[u2], host.n)
+                hit = _match_targets(cand[u1], cand[u2], g.n)
                 if hit is not None:
                     x, y, e1x, e1y, e2x, e2y = hit
                     return ForbiddenStructure(z, u1, u2, x, y, e1x, e1y, e2x, e2y)
@@ -407,8 +412,8 @@ def audit_profile(host: TemporalGraph, profile: StrategyProfile) -> ProfileAudit
     return ProfileAudit(
         antiparallel_free=not g.has_antiparallel(),
         bounds=audit_edge_bounds(host, profile),
-        necessary_ok=all(masks[a] for a in masks),
-        forbidden=find_forbidden_structure(host, profile),
+        necessary_ok=all(masks.values()),
+        forbidden=_find_forbidden(profile, g, masks),
     )
 
 

@@ -506,6 +506,31 @@ SCENARIO_DEFAULTS: dict[str, dict] = {
     },
 }
 
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _check_config(scenario: str, cfg: dict) -> None:
+    """Reject values that are not counts (or lists of counts like their
+    defaults), inverted min/max ranges, and sweeps with no instances."""
+    for key, value in cfg.items():
+        if isinstance(SCENARIO_DEFAULTS[scenario][key], list):
+            if not (isinstance(value, list) and all(_is_count(x) for x in value)):
+                raise ValueError(f"config key {key!r} must be a list of non-negative integers, got {value!r}")
+        elif not _is_count(value):
+            raise ValueError(f"config key {key!r} must be a non-negative integer, got {value!r}")
+    for key, value in cfg.items():
+        top = key[: -len("_min")] + "_max"
+        if key.endswith("_min") and value > cfg[top]:
+            raise ValueError(f"config key {key!r} = {value} exceeds {top!r} = {cfg[top]}")
+    # instances come from the `instances` count and from the list-valued keys
+    sources = [k for k in cfg if k == "instances" or isinstance(cfg[k], list)]
+    if sources and sum(len(cfg[k]) if k != "instances" else cfg[k] for k in sources) == 0:
+        named = ", ".join(f"{k}={cfg[k]!r}" for k in sources)
+        raise ValueError(f"config {named} leaves scenario {scenario} with no instances")
+
+
 _RUNNERS = {
     "hypercube-poa": _run_hypercube_poa,
     "t2-tightness": _run_t2_tightness,
@@ -556,6 +581,7 @@ def run_experiment(
         if key not in cfg:
             raise ValueError(f"unknown config key {key!r} for scenario {scenario}")
         cfg[key] = value
+    _check_config(scenario, cfg)
     rows, fals, extra = _RUNNERS[scenario](cfg, seed, threads)
     full_config = {"scenario": scenario, "seed": seed, **cfg}
     report = {

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 from typing import Iterable, Mapping, Sequence
 
-from .core import TemporalGraph, mask_to_set, norm_pair
+from .core import TemporalGraph, norm_pair
 
 
 @total_ordering
@@ -171,13 +171,15 @@ def agent_cost(host: TemporalGraph, profile: StrategyProfile, v: int) -> CostVec
     return CostVector(unreached, len(profile.strategies[v]))
 
 
+def _agent_costs(host: TemporalGraph, profile: StrategyProfile) -> list[CostVector]:
+    """Every agent's cost, from one created graph and n reach sweeps."""
+    g = undirected_created(host, profile)
+    return [
+        CostVector(host.n - g.reach_mask(v).bit_count(), len(profile.strategies[v]))
+        for v in range(host.n)
+    ]
+
+
 def social_cost(host: TemporalGraph, profile: StrategyProfile) -> CostVector:
     """Sum of agent costs; the edges component equals the total arc count."""
-    g = undirected_created(host, profile)
-    unreached = sum(host.n - bin(g.reach_mask(v)).count("1") for v in range(host.n))
-    return CostVector(unreached, profile.arc_count)
-
-
-def reach_sets(host: TemporalGraph, profile: StrategyProfile) -> list[set[int]]:
-    g = undirected_created(host, profile)
-    return [mask_to_set(g.reach_mask(v)) for v in range(host.n)]
+    return sum(_agent_costs(host, profile), CostVector(0, 0))

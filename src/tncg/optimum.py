@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
-from .core import TemporalGraph, is_temporally_connected
+from .core import TemporalGraph, _mono_spanning_tree, is_temporally_connected
 from .errors import NotASpanner, NotTemporallyConnected, SearchSpaceExceeded
 from .game import StrategyProfile, social_cost
 from .responses import DEFAULT_BUDGET
@@ -29,31 +28,6 @@ def minimal_spanner(host: TemporalGraph) -> TemporalGraph:
     return TemporalGraph(host.n, edges)
 
 
-def _mono_spanning_tree(host: TemporalGraph) -> Optional[TemporalGraph]:
-    # a single-label spanning tree hits the n-1 lower bound exactly
-    by_label: dict[int, list[tuple[int, int]]] = {}
-    for p, lab in host.edges.items():
-        by_label.setdefault(lab, []).append(p)
-    for lab in sorted(by_label):
-        parent = list(range(host.n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        tree = []
-        for (u, v) in sorted(by_label[lab]):
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                tree.append((u, v))
-        if len(tree) == host.n - 1:
-            return TemporalGraph(host.n, {p: lab for p in tree})
-    return None
-
-
 def minimum_spanner(
     host: TemporalGraph, budget_cap: int = DEFAULT_BUDGET
 ) -> tuple[TemporalGraph, int]:
@@ -71,9 +45,11 @@ def minimum_spanner(
     n = host.n
     if n <= 1:
         return TemporalGraph(n, {}), 0
-    tree = _mono_spanning_tree(host)
-    if tree is not None:
-        return tree, n - 1
+    # a single-label spanning tree hits the n-1 lower bound exactly
+    mono = _mono_spanning_tree(host)
+    if mono is not None:
+        label, tree = mono
+        return TemporalGraph(n, {p: label for p in tree}), n - 1
 
     incumbent = minimal_spanner(host)
     best = [sorted(incumbent.edges), incumbent.edge_count]

@@ -11,13 +11,18 @@ does not depend on v's own strategy.  v's reach under strategy S is then
 {v} | in-neighbor covers | union of cover[w] for w in S, so evaluating any
 strategy is a few bitmask unions and exact best response is a minimum set
 cover over fixed candidate masks.
+
+The view is the one place that evaluates an agent: dynamics takes move costs
+from it, the equilibrium checks run its searches, and the structural audit
+reads necessary sets off its covers, so none of them rebuilds the created
+graph per agent or per arc.
 """
 
 from __future__ import annotations
 
 from .core import TemporalGraph
 from .errors import SearchSpaceExceeded
-from .game import CostVector, StrategyProfile
+from .game import CostVector, DirectedTemporalGraph, StrategyProfile
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -25,7 +30,7 @@ DEFAULT_BUDGET = 10_000_000
 class _AgentView:
     """Per-agent cover data for one (host, profile, v) evaluation."""
 
-    __slots__ = ("n", "v", "covers", "in_mask", "base", "cur_mask", "cur_cost")
+    __slots__ = ("n", "v", "current", "covers", "in_mask", "base", "cur_mask", "cur_cost")
 
     def __init__(self, host: TemporalGraph, profile: StrategyProfile, v: int):
         n = host.n
@@ -44,8 +49,6 @@ class _AgentView:
                     if label is None:
                         raise ValueError(f"profile arc ({u}, {w}) has no host pair")
                     rest_arcs[(u, w)] = label
-        from .game import DirectedTemporalGraph
-
         rest = DirectedTemporalGraph(n, rest_arcs).undirected()
         covers = [0] * n
         for w in range(n):
@@ -57,6 +60,7 @@ class _AgentView:
             covers[w] = rest.reach_mask(w, start_label=label)
         self.n = n
         self.v = v
+        self.current = profile.strategies[v]
         self.covers = covers
         self.base = 1 << v
         in_mask = 0
@@ -64,16 +68,62 @@ class _AgentView:
             in_mask |= covers[u]
         self.in_mask = in_mask
         cur = self.base | in_mask
-        for w in profile.strategies[v]:
+        for w in self.current:
             cur |= covers[w]
         self.cur_mask = cur
-        self.cur_cost = CostVector(n - cur.bit_count(), len(profile.strategies[v]))
+        self.cur_cost = CostVector(n - cur.bit_count(), len(self.current))
 
     def strategy_cost(self, strategy) -> CostVector:
         mask = self.base | self.in_mask
         for w in strategy:
             mask |= self.covers[w]
         return CostVector(self.n - mask.bit_count(), len(strategy))
+
+    def greedy(self) -> tuple[frozenset[int], CostVector]:
+        """Best single-arc toggle and its cost; (current, cur_cost) if none improves."""
+        best_cost = self.cur_cost
+        best: tuple[int, ...] | None = None
+        for w in range(self.n):
+            if w == self.v:
+                continue
+            cand = tuple(sorted(self.current ^ {w}))
+            cost = self.strategy_cost(cand)
+            if cost < best_cost or (cost == best_cost and best is not None and cand < best):
+                best_cost = cost
+                best = cand
+        if best is None:
+            return self.current, best_cost
+        return frozenset(best), best_cost
+
+    def exact(self, budget_cap: int) -> tuple[frozenset[int], CostVector]:
+        """Cost-minimal strategy and its cost; see exact_best_response."""
+        current = self.current
+        n = self.n
+        full = (1 << n) - 1
+        universe = full & ~(self.base | self.in_mask)
+        if universe == 0:
+            if current:
+                return frozenset(), CostVector(0, 0)
+            return current, self.cur_cost
+        cands = []
+        for w in range(n):
+            if w != self.v and self.covers[w] & universe:
+                cands.append((w, self.covers[w] & universe))
+        cap = len(current) - 1 if self.cur_cost.unreached == 0 else len(cands)
+        max_pop = max(((m & universe).bit_count() for _, m in cands), default=0)
+        if max_pop == 0:
+            return current, self.cur_cost
+        lower = -(-universe.bit_count() // max_pop)
+        state = [0, budget_cap]
+        found: int | None = None
+        for r in range(lower, cap + 1):
+            if _exists_cover(universe, cands, 0, r, state):
+                found = r
+                break
+        if found is None:
+            return current, self.cur_cost
+        strategy = _lex_min_cover(universe, cands, found, state)
+        return frozenset(strategy), CostVector(0, found)
 
 
 def greedy_best_response(
@@ -86,25 +136,8 @@ def greedy_best_response(
     single-source reachability sweeps.
     """
     view = _AgentView(host, profile, v)
-    current = profile.strategies[v]
-    best_cost = view.cur_cost
-    best_strategy: tuple[int, ...] | None = None
-    candidates: list[tuple[int, ...]] = []
-    for w in sorted(current):
-        candidates.append(tuple(sorted(current - {w})))
-    for w in range(view.n):
-        if w != v and w not in current:
-            candidates.append(tuple(sorted(current | {w})))
-    for cand in candidates:
-        cost = view.strategy_cost(cand)
-        if cost < best_cost or (
-            cost == best_cost and best_strategy is not None and cand < best_strategy
-        ):
-            best_cost = cost
-            best_strategy = cand
-    if best_strategy is None:
-        return current, False
-    return frozenset(best_strategy), True
+    strategy, cost = view.greedy()
+    return strategy, cost < view.cur_cost
 
 
 def _choose_element(rem: int, cands: list[tuple[int, int]], start: int) -> tuple[int, int]:
@@ -207,31 +240,4 @@ def exact_best_response(
     Raises SearchSpaceExceeded when more than budget_cap cover evaluations
     would be needed to prove optimality.
     """
-    view = _AgentView(host, profile, v)
-    current = profile.strategies[v]
-    n = view.n
-    full = (1 << n) - 1
-    universe = full & ~(view.base | view.in_mask)
-    if universe == 0:
-        if current:
-            return frozenset(), CostVector(0, 0)
-        return current, view.cur_cost
-    cands = []
-    for w in range(n):
-        if w != v and view.covers[w] & universe:
-            cands.append((w, view.covers[w] & universe))
-    cap = len(current) - 1 if view.cur_cost.unreached == 0 else len(cands)
-    max_pop = max(((m & universe).bit_count() for _, m in cands), default=0)
-    if max_pop == 0:
-        return current, view.cur_cost
-    lower = -(-universe.bit_count() // max_pop)
-    state = [0, budget_cap]
-    found: int | None = None
-    for r in range(lower, cap + 1):
-        if _exists_cover(universe, cands, 0, r, state):
-            found = r
-            break
-    if found is None:
-        return current, view.cur_cost
-    strategy = _lex_min_cover(universe, cands, found, state)
-    return frozenset(strategy), CostVector(0, found)
+    return _AgentView(host, profile, v).exact(budget_cap)

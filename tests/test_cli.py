@@ -154,6 +154,35 @@ def test_experiment_subcommand(tmp_path, capsys):
     assert (tmp_path / "hypercube-poa.instances.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "scenario, settings, key",
+    [
+        ("random-ge-sweep", ["instances=0"], "instances"),
+        ("random-ge-sweep", ["instances=-1"], "instances"),
+        ("random-ge-sweep", ["instances=abc"], "instances"),
+        ("random-ge-sweep", ["instances=true"], "instances"),
+        ("random-ge-sweep", ["instances=2.5"], "instances"),
+        ("random-ge-sweep", ["n_min=13"], "n_min"),
+        ("reduction-audit", ["k_min=9"], "k_min"),
+        ("hypercube-poa", ["dims=[]"], "dims"),
+        ("hypercube-poa", ["dims=3"], "dims"),
+        ("hypercube-poa", ['dims=[3, "4"]'], "dims"),
+        ("t2-tightness", ["n_values=[]"], "n_values"),
+        ("large-node-audit", ["instances=0", "below_arcs=[]"], "below_arcs"),
+    ],
+)
+def test_experiment_rejects_bad_config(tmp_path, capsys, scenario, settings, key):
+    argv = ["experiment", "--scenario", scenario, "--out-dir", str(tmp_path)]
+    for setting in settings:
+        argv += ["--set", setting]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert key in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_validate_exit_codes(tmp_path, capsys):
     good = tmp_path / "g.tg"
     good.write_text("2 1\n0 1 1\n")

@@ -8,6 +8,7 @@ from tncg import (
     OUTCOME_GE,
     OUTCOME_NE,
     StrategyProfile,
+    agent_cost,
     check_ge,
     check_ne,
     final_profile,
@@ -64,6 +65,25 @@ def test_exact_rule_converges_to_ne():
             checked += 1
             assert check_ne(host, final_profile(trace)).stable
     assert checked >= 10
+
+
+@pytest.mark.parametrize("rule", ["greedy", "exact"])
+@pytest.mark.parametrize("schedule", ["round-robin", "random"])
+def test_move_costs_equal_agent_cost(rule, schedule):
+    rng = random.Random(903)
+    moves = 0
+    for _ in range(12):
+        n = rng.randint(4, 8)
+        host = gen_random_host(n, rng.randint(1, 4), rng.randrange(10**6))
+        profile = gen_random_profile(host, rng.randint(0, 2 * n), rng.randrange(10**6))
+        trace = run_dynamics(host, profile, schedule=schedule, rule=rule, seed=rng.randrange(100))
+        for move in trace.moves:
+            after = profile.with_strategy(move.agent, move.new)
+            assert move.cost_before == agent_cost(host, profile, move.agent)
+            assert move.cost_after == agent_cost(host, after, move.agent)
+            profile = after
+        moves += len(trace.moves)
+    assert moves >= 20
 
 
 def test_random_schedule_is_deterministic_per_seed():

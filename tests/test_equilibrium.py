@@ -65,13 +65,25 @@ def test_ge_witness_is_single_toggle():
 
 def test_agent_costs_reported_for_all_agents():
     host, profile = gen_t2_family(5)
-    rep = check_ne(host, profile)
-    assert len(rep.agent_costs) == host.n
-    for v in range(host.n):
-        cost = rep.agent_costs[v]
-        assert cost == agent_cost(host, profile, v)
-        assert cost.unreached == 0
-        assert cost.edges == len(profile[v])
+    for rep in (check_ne(host, profile), check_ge(host, profile)):
+        assert len(rep.agent_costs) == host.n
+        for v in range(host.n):
+            cost = rep.agent_costs[v]
+            assert cost == agent_cost(host, profile, v)
+            assert cost.unreached == 0
+            assert cost.edges == len(profile[v])
+    # unstable profiles: agents after the witness are reported too
+    rng = random.Random(78)
+    before_last = 0
+    for _ in range(20):
+        n = rng.randint(3, 7)
+        host = gen_random_host(n, rng.randint(1, 3), rng.randrange(10**6))
+        profile = gen_random_profile(host, rng.randint(0, n), rng.randrange(10**6))
+        for rep in (check_ne(host, profile), check_ge(host, profile)):
+            assert rep.agent_costs == tuple(agent_cost(host, profile, v) for v in range(n))
+            if rep.witness is not None and rep.witness[0] < n - 1:
+                before_last += 1
+    assert before_last >= 10
 
 
 def test_necessary_set_matches_reach_difference():
