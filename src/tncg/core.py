@@ -11,6 +11,7 @@ public API exchanges ordinary sets.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 Pair = tuple[int, int]
@@ -38,12 +39,12 @@ def norm_pair(u: int, v: int) -> Pair:
 class TemporalGraph:
     """Immutable undirected graph with one integer label per edge.
 
-    `edges` maps normalized pairs (u, v) with u < v to labels >= 1.  Instances
-    must not be mutated after construction: per-label component masks are
-    cached lazily and would go stale.
+    `edges` maps normalized pairs (u, v) with u < v to labels >= 1.  It is a
+    read-only view, because per-label component masks are cached lazily and
+    would go stale if the edges changed.
     """
 
-    __slots__ = ("n", "edges", "_comps")
+    __slots__ = ("n", "edges", "_edges", "_comps")
 
     def __init__(self, n: int, edges: Mapping[tuple[int, int], int]):
         if n < 1:
@@ -59,7 +60,10 @@ class TemporalGraph:
                 raise ValueError(f"edge {p} given conflicting labels")
             norm[p] = label
         self.n = n
-        self.edges = norm
+        # label lookups sit on the best-response hot path and read the
+        # dict directly; a read-only view's .get takes about twice as long
+        self._edges = norm
+        self.edges = MappingProxyType(norm)
         self._comps: list[tuple[int, list[int]]] | None = None
 
     @property
@@ -72,10 +76,10 @@ class TemporalGraph:
         return max(self.edges.values(), default=0)
 
     def label(self, u: int, v: int) -> int | None:
-        return self.edges.get(norm_pair(u, v))
+        return self._edges.get(norm_pair(u, v))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return norm_pair(u, v) in self.edges
+        return norm_pair(u, v) in self._edges
 
     def is_complete(self) -> bool:
         return len(self.edges) == self.n * (self.n - 1) // 2
@@ -116,6 +120,10 @@ class TemporalGraph:
 
     def __hash__(self):
         return hash((self.n, frozenset(self.edges.items())))
+
+    def __reduce__(self):
+        # the read-only view does not pickle; rebuild from a plain dict
+        return (TemporalGraph, (self.n, dict(self.edges)))
 
     def __repr__(self):
         return f"TemporalGraph(n={self.n}, edges={self.edge_count}, lifetime={self.lifetime})"

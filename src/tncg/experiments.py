@@ -513,9 +513,10 @@ def _is_count(value) -> bool:
 
 def _check_config(scenario: str, cfg: dict) -> None:
     """Reject values that are not counts (or lists of counts like their
-    defaults), inverted min/max ranges, and sweeps with no instances."""
+    defaults; the seed is a count), inverted min/max ranges, and sweeps with
+    no instances."""
     for key, value in cfg.items():
-        if isinstance(SCENARIO_DEFAULTS[scenario][key], list):
+        if isinstance(SCENARIO_DEFAULTS[scenario].get(key), list):
             if not (isinstance(value, list) and all(_is_count(x) for x in value)):
                 raise ValueError(f"config key {key!r} must be a list of non-negative integers, got {value!r}")
         elif not _is_count(value):
@@ -576,12 +577,12 @@ def run_experiment(
         if key == "scenario":
             continue
         if key == "seed":
-            seed = int(value)
+            seed = value
             continue
         if key not in cfg:
             raise ValueError(f"unknown config key {key!r} for scenario {scenario}")
         cfg[key] = value
-    _check_config(scenario, cfg)
+    _check_config(scenario, {"seed": seed, **cfg})
     rows, fals, extra = _RUNNERS[scenario](cfg, seed, threads)
     full_config = {"scenario": scenario, "seed": seed, **cfg}
     report = {

@@ -4,10 +4,89 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import TemporalGraph, _mono_spanning_tree, is_temporally_connected
+from .core import Pair, TemporalGraph, _mono_spanning_tree
 from .errors import NotASpanner, NotTemporallyConnected, SearchSpaceExceeded
 from .game import StrategyProfile, social_cost
 from .responses import DEFAULT_BUDGET
+
+
+class _EdgeMasks:
+    """Bitset kernel over one host's edges, for the spanner searches.
+
+    The edges are laid out once in ascending (label, pair) order and an edge
+    subset is an int bitmask over that layout, so a search node is one int
+    and no TemporalGraph is built until a spanner is returned.
+    """
+
+    __slots__ = ("host", "full", "all", "bit", "classes")
+
+    def __init__(self, host: TemporalGraph):
+        self.host = host
+        self.full = (1 << host.n) - 1
+        layout = sorted(host.edges, key=lambda p: (host.edges[p], p))
+        self.all = (1 << len(layout)) - 1
+        self.bit = {p: 1 << i for i, p in enumerate(layout)}
+        by_label: dict[int, list[tuple[int, int, int]]] = {}
+        for p in layout:
+            by_label.setdefault(host.edges[p], []).append((self.bit[p], *p))
+        # (mask of the class, its edges as (bit, u, v), whether they form a
+        # matching), ascending label
+        self.classes = []
+        for es in by_label.values():
+            ends = [x for _, u, v in es for x in (u, v)]
+            self.classes.append(
+                (sum(b for b, _, _ in es), es, len(set(ends)) == len(ends))
+            )
+
+    def connected(self, sub: int) -> bool:
+        """True iff the edges in `sub` leave the nodes temporally connected.
+
+        One all-sources sweep: reached[x] is the mask of sources that have
+        reached x.  Label classes go in ascending order; within a class the
+        kept edges merge their endpoints' masks until nothing changes,
+        because edges of one label can be used in sequence.  A class whose
+        edges share no endpoint needs one pass.
+        """
+        reached = [1 << x for x in range(self.host.n)]
+        for cmask, es, matching in self.classes:
+            if not sub & cmask:
+                continue
+            if matching:
+                for b, u, v in es:
+                    if sub & b:
+                        reached[u] = reached[v] = reached[u] | reached[v]
+                continue
+            kept = [(u, v) for b, u, v in es if sub & b]
+            changed = True
+            while changed:
+                changed = False
+                for u, v in kept:
+                    a, b = reached[u], reached[v]
+                    if a != b:
+                        reached[u] = reached[v] = a | b
+                        changed = True
+        # every mask lies within full, so the smallest equals it iff all do
+        return min(reached) == self.full
+
+    def graph(self, sub: int, order) -> TemporalGraph:
+        """The subgraph of the edges in `sub`, inserted in `order`."""
+        edges = self.host.edges
+        bit = self.bit
+        return TemporalGraph(
+            self.host.n, {p: edges[p] for p in order if sub & bit[p]}
+        )
+
+
+def _minimal_keep(masks: _EdgeMasks) -> tuple[int, list[Pair]]:
+    """Keep-mask of the greedy removal pass, and the removal order."""
+    edges = masks.host.edges
+    order = sorted(edges, key=lambda p: (-edges[p], p))
+    keep = masks.all
+    for p in order:
+        trial = keep ^ masks.bit[p]
+        if masks.connected(trial):
+            keep = trial
+    return keep, order
 
 
 def minimal_spanner(host: TemporalGraph) -> TemporalGraph:
@@ -15,17 +94,14 @@ def minimal_spanner(host: TemporalGraph) -> TemporalGraph:
 
     One pass suffices for minimality: an edge kept because its removal
     disconnected the graph at the time stays non-removable in every later
-    subgraph, since deleting edges never adds temporal paths.
+    subgraph, since deleting edges never adds temporal paths.  Each removal
+    is tested on an edge bitmask; only the returned spanner is built.
     """
-    if not is_temporally_connected(host):
+    masks = _EdgeMasks(host)
+    if not masks.connected(masks.all):
         raise NotTemporallyConnected("graph is not temporally connected")
-    edges = dict(host.edges)
-    order = sorted(edges, key=lambda p: (-edges[p], p))
-    for pair in order:
-        lab = edges.pop(pair)
-        if not is_temporally_connected(TemporalGraph(host.n, edges)):
-            edges[pair] = lab
-    return TemporalGraph(host.n, edges)
+    keep, order = _minimal_keep(masks)
+    return masks.graph(keep, order)
 
 
 def minimum_spanner(
@@ -34,13 +110,23 @@ def minimum_spanner(
     """Exact minimum temporal spanner by branch and bound.
 
     Returns the spanner and its size.  Any label class containing a spanning
-    tree settles the instance at n-1 edges immediately.  Otherwise edges are
-    decided include/exclude in lexicographic order, pruning branches whose
-    retained edge set cannot reach temporal connectivity and branches that
-    cannot beat the incumbent.  budget_cap bounds search nodes; exceeding it
+    tree settles the instance at n-1 edges immediately.  Otherwise the
+    incumbent is `minimal_spanner`'s answer, and edges are decided
+    include-then-exclude in lexicographic order, pruning branches that
+    cannot beat the incumbent (retained edges plus static components minus
+    one) and branches whose retained and undecided edges together are not
+    temporally connected.  budget_cap bounds search nodes; exceeding it
     raises SearchSpaceExceeded.
+
+    Search nodes are edge bitmasks, and each node runs at most one
+    connectivity sweep: an exclude child keeps its parent's retained set,
+    already found disconnected, and an include child's retained and
+    undecided edges are its parent's, already found connected.  Skipping
+    those repeats leaves the tree unchanged, so a budget counts the same
+    nodes as it always has.
     """
-    if not is_temporally_connected(host):
+    masks = _EdgeMasks(host)
+    if not masks.connected(masks.all):
         raise NotTemporallyConnected("graph is not temporally connected")
     n = host.n
     if n <= 1:
@@ -51,62 +137,51 @@ def minimum_spanner(
         label, tree = mono
         return TemporalGraph(n, {p: label for p in tree}), n - 1
 
-    incumbent = minimal_spanner(host)
-    best = [sorted(incumbent.edges), incumbent.edge_count]
-    edges = sorted(host.edges)
-    m = len(edges)
-    state = [0]
+    keep, _ = _minimal_keep(masks)
+    best = [keep, keep.bit_count()]
+    pairs = sorted(host.edges)
+    m = len(pairs)
+    bits = [masks.bit[p] for p in pairs]
+    # rest[i]: mask of the undecided edges pairs[i:]
+    rest = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        rest[i] = rest[i + 1] | bits[i]
+    connected = masks.connected
+    nodes = [0]
 
-    def components(pairs) -> int:
-        parent = list(range(n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        comps = n
-        for (u, v) in pairs:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                comps -= 1
-        return comps
-
-    def rec(idx: int, included: list) -> None:
-        state[0] += 1
-        if state[0] > budget_cap:
+    def rec(idx: int, inc: int, count: int, parts: tuple, included: bool):
+        # parts: node masks of the static components of the retained edges
+        nodes[0] += 1
+        if nodes[0] > budget_cap:
             raise SearchSpaceExceeded(
                 f"spanner search exceeded budget of {budget_cap} nodes"
             )
-        count = len(included)
-        if count >= best[1]:
+        # retained edges plus the static components still to join
+        if count + len(parts) - 1 >= best[1]:
             return
-        # static connectivity over included edges lower-bounds the deficit
-        if count + components(included) - 1 >= best[1]:
-            return
-        sub = TemporalGraph(n, {p: host.edges[p] for p in included})
-        if is_temporally_connected(sub):
-            best[0] = list(included)
-            best[1] = count
-            return
-        if idx == m:
-            return
-        remaining = edges[idx:]
-        full = TemporalGraph(
-            n, {p: host.edges[p] for p in included + remaining}
-        )
-        if not is_temporally_connected(full):
-            return
-        included.append(edges[idx])
-        rec(idx + 1, included)
-        included.pop()
-        rec(idx + 1, included)
+        if included:
+            # more than one static component cannot be temporally connected
+            if len(parts) == 1 and connected(inc):
+                best[0] = inc
+                best[1] = count
+                return
+            if idx == m:
+                return
+        else:
+            if idx == m or not connected(inc | rest[idx]):
+                return
+        u, v = pairs[idx]
+        pu = next(c for c in parts if c >> u & 1)
+        if pu >> v & 1:
+            joined = parts
+        else:
+            pv = next(c for c in parts if c >> v & 1)
+            joined = tuple(c for c in parts if c != pu and c != pv) + (pu | pv,)
+        rec(idx + 1, inc | bits[idx], count + 1, joined, True)
+        rec(idx + 1, inc, count, parts, False)
 
-    rec(0, [])
-    sub = TemporalGraph(n, {p: host.edges[p] for p in best[0]})
-    return sub, best[1]
+    rec(0, 0, 0, tuple(1 << x for x in range(n)), False)
+    return masks.graph(best[0], pairs), best[1]
 
 
 def poa_ratio(

@@ -152,6 +152,11 @@ def test_experiment_subcommand(tmp_path, capsys):
     assert payload["summary"]["pass"] is True
     assert (tmp_path / "hypercube-poa.report.json").exists()
     assert (tmp_path / "hypercube-poa.instances.csv").exists()
+    code, out, _ = run(capsys, "experiment", "--scenario", "br-cycle",
+                       "--set", "seed=3", "--out-dir", str(tmp_path))
+    assert code == 0
+    report = json.loads((tmp_path / "br-cycle.report.json").read_text())
+    assert report["seed"] == 3
 
 
 @pytest.mark.parametrize(
@@ -169,6 +174,10 @@ def test_experiment_subcommand(tmp_path, capsys):
         ("hypercube-poa", ['dims=[3, "4"]'], "dims"),
         ("t2-tightness", ["n_values=[]"], "n_values"),
         ("large-node-audit", ["instances=0", "below_arcs=[]"], "below_arcs"),
+        ("br-cycle", ["seed=true"], "seed"),
+        ("br-cycle", ["seed=abc"], "seed"),
+        ("br-cycle", ["seed=1.5"], "seed"),
+        ("br-cycle", ["seed=-1"], "seed"),
     ],
 )
 def test_experiment_rejects_bad_config(tmp_path, capsys, scenario, settings, key):

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -173,3 +174,15 @@ def test_without_edge():
     h = g.without_edge(0, 1)
     assert h.edge_count == 1 and not h.has_edge(0, 1)
     assert g.edge_count == 2  # original untouched
+
+
+def test_edges_are_read_only_and_pickle():
+    g = TemporalGraph(3, {(0, 1): 1, (1, 2): 2})
+    assert g.reach_mask(2) == 0b110
+    with pytest.raises(TypeError):
+        g.edges[(0, 2)] = 1
+    assert g.reach_mask(2) == 0b110 and g.edge_count == 2
+    assert dict(g.edges) == {(0, 1): 1, (1, 2): 2}
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g and hash(back) == hash(g)
+    assert back.reach_mask(0) == g.reach_mask(0) == 0b111

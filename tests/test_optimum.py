@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tncg import (
     NotASpanner,
@@ -18,8 +20,10 @@ from tncg import (
     minimum_spanner,
     poa_ratio,
 )
+from tncg.core import _mono_spanning_tree
+from tncg.optimum import _EdgeMasks
 
-from oracles import brute_minimum_spanner
+from oracles import brute_connected, brute_minimum_spanner
 
 
 def test_minimal_spanner_properties():
@@ -58,6 +62,61 @@ def test_minimum_spanner_matches_brute_force():
         assert size == brute_minimum_spanner(host)
         checked += 1
     assert checked >= 60
+
+
+def test_spanners_match_brute_force_where_search_branches():
+    # no label class spans, so the tree shortcut does not apply and the
+    # search branches
+    def branching_hosts(rng, n, t_range, count):
+        out = []
+        while len(out) < count:
+            host = gen_random_host(n, rng.randint(*t_range), rng.randrange(10**6))
+            if _mono_spanning_tree(host) is None and is_temporally_connected(host):
+                out.append(host)
+        return out
+
+    rng = random.Random(608)
+    # n=5 has 10 pairs, so t <= 10 on a host whose labels are exactly 1..t
+    hosts = branching_hosts(rng, 5, (8, 10), 30) + branching_hosts(rng, 6, (12, 12), 4)
+    for host in hosts:
+        spanner, size = minimum_spanner(host)
+        assert size == spanner.edge_count == brute_minimum_spanner(host)
+        assert is_temporal_spanner(host, spanner)
+        assert is_minimal_spanner(host, minimal_spanner(host))
+
+
+@pytest.mark.parametrize(
+    "args, nodes, opt",
+    [((6, 12, 0), 2513, 7), ((6, 12, 1), 1881, 7), ((6, 12, 2), 1717, 7), ((7, 20, 2), 8421, 10)],
+)
+def test_minimum_spanner_search_tree_is_pinned(args, nodes, opt):
+    # the exact node count of the search: a budget one short must give up
+    host = gen_random_host(*args)
+    with pytest.raises(SearchSpaceExceeded):
+        minimum_spanner(host, budget_cap=nodes - 1)
+    spanner, size = minimum_spanner(host, budget_cap=nodes)
+    assert size == opt and is_temporal_spanner(host, spanner)
+
+
+@st.composite
+def graphs_with_edge_masks(draw):
+    n = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    labels = draw(st.lists(st.sampled_from([None, 1, 2, 3, 4, 5]), min_size=len(pairs), max_size=len(pairs)))
+    g = TemporalGraph(n, {p: lab for p, lab in zip(pairs, labels) if lab is not None})
+    # drop a few edges, so that connected subsets come up as well
+    dropped = draw(st.sets(st.integers(0, max(g.edge_count - 1, 0)), max_size=g.edge_count // 2))
+    return g, (2**g.edge_count - 1) & ~sum(1 << i for i in dropped)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(graphs_with_edge_masks())
+def test_edge_mask_kernel_matches_rebuilt_graph(case):
+    g, mask = case
+    masks = _EdgeMasks(g)
+    sub = TemporalGraph(g.n, {p: lab for p, lab in g.edges.items() if mask & masks.bit[p]})
+    got = masks.connected(mask)
+    assert got == is_temporally_connected(sub) == brute_connected(sub)
 
 
 def test_minimum_spanner_tree_shortcut():
