@@ -6,7 +6,8 @@ are non-decreasing along the walk; traversal itself takes no time, so several
 edges of the same label may be used in sequence.
 
 Node sets are manipulated as bitmasks (Python ints) in the hot paths; the
-public API exchanges ordinary sets.
+public API exchanges ordinary sets.  Reach sets come from `_reach_sweep`: one
+descending pass over the label classes serves any number of sources.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from typing import Iterable, Mapping
 
 Pair = tuple[int, int]
 
-# Running count of single-source reachability sweeps, for operation-count
-# assertions in tests.  Cheap enough to keep always-on.
+# Running count of reach sweeps, for operation-count assertions in tests; one
+# sweep serves any number of sources.  Cheap enough to keep always-on.
 _REACH_EVALS = 0
 
 
@@ -40,11 +41,11 @@ class TemporalGraph:
     """Immutable undirected graph with one integer label per edge.
 
     `edges` maps normalized pairs (u, v) with u < v to labels >= 1.  It is a
-    read-only view, because per-label component masks are cached lazily and
+    read-only view, because the edges grouped by label are cached lazily and
     would go stale if the edges changed.
     """
 
-    __slots__ = ("n", "edges", "_edges", "_comps")
+    __slots__ = ("n", "edges", "_edges", "_classes")
 
     def __init__(self, n: int, edges: Mapping[tuple[int, int], int]):
         if n < 1:
@@ -64,7 +65,7 @@ class TemporalGraph:
         # dict directly; a read-only view's .get takes about twice as long
         self._edges = norm
         self.edges = MappingProxyType(norm)
-        self._comps: list[tuple[int, list[int]]] | None = None
+        self._classes: list[tuple[int, list[Pair]]] | None = None
 
     @property
     def edge_count(self) -> int:
@@ -128,60 +129,23 @@ class TemporalGraph:
     def __repr__(self):
         return f"TemporalGraph(n={self.n}, edges={self.edge_count}, lifetime={self.lifetime})"
 
-    def _class_components(self) -> list[tuple[int, list[int]]]:
-        """Per label, bitmasks of the connected components of that label class.
-
-        Singleton components are dropped; they can never extend a reach set.
-        Ascending label order.
-        """
-        if self._comps is not None:
-            return self._comps
-        by_label: dict[int, list[Pair]] = {}
-        for p, label in self.edges.items():
-            by_label.setdefault(label, []).append(p)
-        out: list[tuple[int, list[int]]] = []
-        for label in sorted(by_label):
-            parent: dict[int, int] = {}
-
-            def find(a: int) -> int:
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                return a
-
-            for u, v in by_label[label]:
-                parent.setdefault(u, u)
-                parent.setdefault(v, v)
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[ru] = rv
-            masks: dict[int, int] = {}
-            for node in parent:
-                masks[find(node)] = masks.get(find(node), 0) | (1 << node)
-            out.append((label, sorted(masks.values())))
-        self._comps = out
-        return out
+    def _label_classes(self) -> list[tuple[int, list[Pair]]]:
+        """(label, pairs) per label present, ascending label, pairs ascending."""
+        if self._classes is None:
+            by_label: dict[int, list[Pair]] = {}
+            for p, label in sorted(self._edges.items()):
+                by_label.setdefault(label, []).append(p)
+            self._classes = sorted(by_label.items())
+        return self._classes
 
     def reach_mask(self, u: int, start_label: int = 1) -> int:
         """Bitmask of nodes temporally reachable from u.
 
-        Only labels >= start_label may be used.  One ascending sweep over the
-        label classes suffices: within a class every edge is reusable, so the
-        reached set grows by whole components, and labels never decrease
-        along a temporal path.
+        Only labels >= start_label may be used.
         """
-        global _REACH_EVALS
-        _REACH_EVALS += 1
         if not (0 <= u < self.n):
             raise ValueError(f"node {u} out of range")
-        reached = 1 << u
-        for label, comps in self._class_components():
-            if label < start_label:
-                continue
-            for comp in comps:
-                if comp & reached:
-                    reached |= comp
-        return reached
+        return _reach_sweep(self.n, self._label_classes(), {start_label: [u]})[u]
 
     def reach(self, u: int) -> set[int]:
         return mask_to_set(self.reach_mask(u))
@@ -203,6 +167,45 @@ def set_to_mask(nodes: Iterable[int]) -> int:
     return mask
 
 
+def _merge_class(reached: list[int], pairs: Iterable[Pair]) -> None:
+    """Merge the masks of each pair's endpoints until nothing changes, so each
+    node of a component of one label class ends with the component's union."""
+    changed = True
+    while changed:
+        changed = False
+        for u, v in pairs:
+            a, b = reached[u], reached[v]
+            if a != b:
+                reached[u] = reached[v] = a | b
+                changed = True
+
+
+def _reach_sweep(
+    n: int, classes: list[tuple[int, list[Pair]]], starts: Mapping[int, Iterable[int]]
+) -> list[int]:
+    """Reach masks of many sources in one descending pass over label classes.
+
+    classes: (label, pairs), ascending label.  starts maps a start label s to
+    the nodes (each listed once) whose reach over labels >= s is wanted; the
+    result is indexed by node, 0 where not asked.  A path from x walks inside
+    x's component C in the lowest class l it uses, then on higher labels, so
+    merging class l gives R_l(x) = union of R_{l+1}(y) over y in C (Wu et
+    al., "Path problems in temporal graphs", VLDB 2014).
+    """
+    global _REACH_EVALS
+    _REACH_EVALS += 1
+    reached = [1 << x for x in range(n)]
+    out = [0] * n
+    i = len(classes) - 1
+    for s in sorted(starts, reverse=True):
+        while i >= 0 and classes[i][0] >= s:
+            _merge_class(reached, classes[i][1])
+            i -= 1
+        for x in starts[s]:
+            out[x] = reached[x]
+    return out
+
+
 def reach(g: TemporalGraph, u: int) -> set[int]:
     """Set of nodes temporally reachable from u (always includes u)."""
     return g.reach(u)
@@ -214,10 +217,7 @@ def _mono_spanning_tree(g: TemporalGraph) -> tuple[int, list[Pair]] | None:
     The tree is the lexicographic Kruskal forest of that class: its pairs in
     ascending order, each kept when it joins two components.
     """
-    by_label: dict[int, list[Pair]] = {}
-    for p, label in g.edges.items():
-        by_label.setdefault(label, []).append(p)
-    for label in sorted(by_label):
+    for label, pairs in g._label_classes():
         parent = list(range(g.n))
 
         def find(a: int) -> int:
@@ -227,7 +227,7 @@ def _mono_spanning_tree(g: TemporalGraph) -> tuple[int, list[Pair]] | None:
             return a
 
         tree = []
-        for (u, v) in sorted(by_label[label]):
+        for (u, v) in pairs:
             ru, rv = find(u), find(v)
             if ru != rv:
                 parent[ru] = rv
@@ -255,7 +255,7 @@ def is_temporal_path(g: TemporalGraph, nodes: list[int]) -> bool:
 def is_temporally_connected(g: TemporalGraph) -> bool:
     """True iff every node temporally reaches every other node."""
     full = (1 << g.n) - 1
-    return all(g.reach_mask(u) == full for u in range(g.n))
+    return all(m == full for m in _reach_sweep(g.n, g._label_classes(), {1: range(g.n)}))
 
 
 def is_temporal_spanner(host: TemporalGraph, sub: TemporalGraph) -> bool:

@@ -131,9 +131,11 @@ def run_dynamics(
     no improving agent; after n consecutive quiet random activations a
     deterministic sweep confirms it.  Explicit schedules are replay tools:
     exhausting one ends the run with the step-cap outcome.  max_steps caps
-    applied moves (default 10 * n^2).
+    applied moves (default 10 * n^2); a cap below 1 raises ValueError.
     """
     n = host.n
+    if max_steps is not None and max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     if rule not in ("greedy", "exact"):
         raise ValueError(f"unknown rule {rule!r}")
     if max_steps is None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 from typing import Iterable, Mapping, Sequence
 
-from .core import TemporalGraph, norm_pair
+from .core import TemporalGraph, _reach_sweep, norm_pair
 
 
 @total_ordering
@@ -147,36 +147,50 @@ class DirectedTemporalGraph:
         return TemporalGraph(self.n, edges)
 
 
-def created_graph(host: TemporalGraph, profile: StrategyProfile) -> DirectedTemporalGraph:
-    """Directed created graph: arc (v, w) per w in S_v, labels from the host."""
+def _labelled_arcs(host: TemporalGraph, profile: StrategyProfile):
+    """(v, w, label) per bought arc, labels from the host."""
     if profile.n != host.n:
         raise ValueError(f"profile n={profile.n} does not match host n={host.n}")
-    arcs: dict[tuple[int, int], int] = {}
     for v in range(profile.n):
         for w in profile.strategies[v]:
             label = host.label(v, w)
             if label is None:
                 raise ValueError(f"arc ({v}, {w}) has no host pair")
-            arcs[(v, w)] = label
-    return DirectedTemporalGraph(host.n, arcs)
+            yield v, w, label
 
 
-def undirected_created(host: TemporalGraph, profile: StrategyProfile) -> TemporalGraph:
-    return created_graph(host, profile).undirected()
+def created_graph(host: TemporalGraph, profile: StrategyProfile) -> DirectedTemporalGraph:
+    """Directed created graph: arc (v, w) per w in S_v, labels from the host."""
+    arcs = _labelled_arcs(host, profile)
+    return DirectedTemporalGraph(host.n, {(v, w): label for v, w, label in arcs})
+
+
+def _arc_classes(
+    host: TemporalGraph, profile: StrategyProfile, skip: int | None = None
+) -> list[tuple[int, list[tuple[int, int]]]]:
+    """The created graph's pairs by host label, ascending, as `core._reach_sweep`
+    reads them; each pair once, and none at agent `skip` (the graph G - skip).
+    """
+    by_label: dict[int, list[tuple[int, int]]] = {}
+    for v, w, label in _labelled_arcs(host, profile):
+        if skip not in (v, w) and not (w < v and v in profile.strategies[w]):
+            by_label.setdefault(label, []).append((v, w))
+    return sorted(by_label.items())
 
 
 def agent_cost(host: TemporalGraph, profile: StrategyProfile, v: int) -> CostVector:
-    g = undirected_created(host, profile)
-    unreached = host.n - bin(g.reach_mask(v)).count("1")
-    return CostVector(unreached, len(profile.strategies[v]))
+    if not (0 <= v < host.n):
+        raise ValueError(f"agent {v} out of range")
+    return _agent_costs(host, profile)[v]
 
 
 def _agent_costs(host: TemporalGraph, profile: StrategyProfile) -> list[CostVector]:
-    """Every agent's cost, from one created graph and n reach sweeps."""
-    g = undirected_created(host, profile)
+    """Every agent's cost, from one reach sweep over the created graph."""
+    n = host.n
+    reached = _reach_sweep(n, _arc_classes(host, profile), {1: range(n)})
     return [
-        CostVector(host.n - g.reach_mask(v).bit_count(), len(profile.strategies[v]))
-        for v in range(host.n)
+        CostVector(n - reached[v].bit_count(), len(profile.strategies[v]))
+        for v in range(n)
     ]
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Pair, TemporalGraph, _mono_spanning_tree
+from .core import Pair, TemporalGraph, _merge_class, _mono_spanning_tree
 from .errors import NotASpanner, NotTemporallyConnected, SearchSpaceExceeded
 from .game import StrategyProfile, social_cost
 from .responses import DEFAULT_BUDGET
@@ -13,9 +13,9 @@ from .responses import DEFAULT_BUDGET
 class _EdgeMasks:
     """Bitset kernel over one host's edges, for the spanner searches.
 
-    The edges are laid out once in ascending (label, pair) order and an edge
-    subset is an int bitmask over that layout, so a search node is one int
-    and no TemporalGraph is built until a spanner is returned.
+    The edges are laid out once in the host's cached (label, pair) order and
+    an edge subset is an int bitmask over that layout, so a search node is
+    one int and no TemporalGraph is built until a spanner is returned.
     """
 
     __slots__ = ("host", "full", "all", "bit", "classes")
@@ -23,17 +23,15 @@ class _EdgeMasks:
     def __init__(self, host: TemporalGraph):
         self.host = host
         self.full = (1 << host.n) - 1
-        layout = sorted(host.edges, key=lambda p: (host.edges[p], p))
-        self.all = (1 << len(layout)) - 1
-        self.bit = {p: 1 << i for i, p in enumerate(layout)}
-        by_label: dict[int, list[tuple[int, int, int]]] = {}
-        for p in layout:
-            by_label.setdefault(host.edges[p], []).append((self.bit[p], *p))
+        classes = host._label_classes()
+        self.bit = {p: 1 << i for i, p in enumerate(p for _, ps in classes for p in ps)}
+        self.all = (1 << len(self.bit)) - 1
         # (mask of the class, its edges as (bit, u, v), whether they form a
         # matching), ascending label
         self.classes = []
-        for es in by_label.values():
-            ends = [x for _, u, v in es for x in (u, v)]
+        for _, pairs in classes:
+            es = [(self.bit[p], *p) for p in pairs]
+            ends = [x for p in pairs for x in p]
             self.classes.append(
                 (sum(b for b, _, _ in es), es, len(set(ends)) == len(ends))
             )
@@ -43,9 +41,9 @@ class _EdgeMasks:
 
         One all-sources sweep: reached[x] is the mask of sources that have
         reached x.  Label classes go in ascending order; within a class the
-        kept edges merge their endpoints' masks until nothing changes,
-        because edges of one label can be used in sequence.  A class whose
-        edges share no endpoint needs one pass.
+        kept edges merge their endpoints' masks until nothing changes
+        (`core._merge_class`), because edges of one label can be used in
+        sequence.  A class whose edges share no endpoint needs one pass.
         """
         reached = [1 << x for x in range(self.host.n)]
         for cmask, es, matching in self.classes:
@@ -56,15 +54,7 @@ class _EdgeMasks:
                     if sub & b:
                         reached[u] = reached[v] = reached[u] | reached[v]
                 continue
-            kept = [(u, v) for b, u, v in es if sub & b]
-            changed = True
-            while changed:
-                changed = False
-                for u, v in kept:
-                    a, b = reached[u], reached[v]
-                    if a != b:
-                        reached[u] = reached[v] = a | b
-                        changed = True
+            _merge_class(reached, [(u, v) for b, u, v in es if sub & b])
         # every mask lies within full, so the smallest equals it iff all do
         return min(reached) == self.full
 
@@ -192,7 +182,8 @@ def poa_ratio(
     """Social cost of the profile over the minimum spanner size, exact.
 
     The profile must make the host temporally connected (zero unreached
-    pairs); otherwise its cost is not comparable to a spanner.
+    pairs); otherwise its cost is not comparable to a spanner.  An edgeless
+    optimum (a 1-node host) leaves the ratio undefined: ValueError.
     """
     sc = social_cost(host, profile)
     if sc.unreached > 0:
@@ -200,4 +191,6 @@ def poa_ratio(
             f"profile leaves {sc.unreached} unreached pairs; ratio undefined"
         )
     _, opt = minimum_spanner(host, budget_cap=budget_cap)
+    if opt == 0:
+        raise ValueError("PoA is undefined: the optimum spanner has no edges")
     return Fraction(sc.edges, opt)

@@ -10,7 +10,9 @@ continuation cover
 does not depend on v's own strategy.  v's reach under strategy S is then
 {v} | in-neighbor covers | union of cover[w] for w in S, so evaluating any
 strategy is a few bitmask unions and exact best response is a minimum set
-cover over fixed candidate masks.
+cover over fixed candidate masks.  All n-1 covers come from one reach sweep
+over the created graph's label classes without v, each endpoint w read off
+at its own start label({v, w}); no graph object is built.
 
 The view is the one place that evaluates an agent: dynamics takes move costs
 from it, the equilibrium checks run its searches, and the structural audit
@@ -20,9 +22,9 @@ graph per agent or per arc.
 
 from __future__ import annotations
 
-from .core import TemporalGraph
+from .core import TemporalGraph, _reach_sweep
 from .errors import SearchSpaceExceeded
-from .game import CostVector, DirectedTemporalGraph, StrategyProfile
+from .game import CostVector, StrategyProfile, _arc_classes
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -36,36 +38,24 @@ class _AgentView:
         n = host.n
         if not (0 <= v < n):
             raise ValueError(f"agent {v} out of range")
-        rest_arcs: dict[tuple[int, int], int] = {}
-        in_neighbors = []
-        for u in range(n):
-            if u == v:
-                continue
-            for w in profile.strategies[u]:
-                if w == v:
-                    in_neighbors.append(u)
-                else:
-                    label = host.label(u, w)
-                    if label is None:
-                        raise ValueError(f"profile arc ({u}, {w}) has no host pair")
-                    rest_arcs[(u, w)] = label
-        rest = DirectedTemporalGraph(n, rest_arcs).undirected()
-        covers = [0] * n
+        starts: dict[int, list[int]] = {}
         for w in range(n):
             if w == v:
                 continue
             label = host.label(v, w)
             if label is None:
                 raise ValueError(f"host pair ({v}, {w}) missing; host must be complete")
-            covers[w] = rest.reach_mask(w, start_label=label)
+            starts.setdefault(label, []).append(w)
+        covers = _reach_sweep(n, _arc_classes(host, profile, skip=v), starts)
         self.n = n
         self.v = v
         self.current = profile.strategies[v]
         self.covers = covers
         self.base = 1 << v
         in_mask = 0
-        for u in in_neighbors:
-            in_mask |= covers[u]
+        for u in range(n):
+            if v in profile.strategies[u]:
+                in_mask |= covers[u]
         self.in_mask = in_mask
         cur = self.base | in_mask
         for w in self.current:
@@ -132,8 +122,7 @@ def greedy_best_response(
     """Best single-arc addition or deletion for v, else the current strategy.
 
     Returns (strategy, improved).  Ties among equally good moves go to the
-    lexicographically smallest resulting endpoint set.  Uses at most n
-    single-source reachability sweeps.
+    lexicographically smallest resulting endpoint set.  Uses one reach sweep.
     """
     view = _AgentView(host, profile, v)
     strategy, cost = view.greedy()

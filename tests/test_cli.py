@@ -114,6 +114,28 @@ def test_br_greedy_default(tmp_path, capsys):
     assert payload["cost"]["numeric"] == payload["cost_before"]["numeric"]
 
 
+def one_error_line(err):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    return lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["br", "--agent", "-1"],
+    ["br", "--agent", "8"],
+    ["dynamics", "--max-steps", "0"],
+    ["dynamics", "--max-steps", "-5"],
+])
+def test_out_of_range_arguments_are_exit_2(tmp_path, capsys, argv):
+    host = tmp_path / "h.tg"
+    prof = tmp_path / "p.tsp"
+    run(capsys, "gen", "hypercube", "--dim", "3", "-o", str(host), "--profile", str(prof))
+    code, out, err = run(capsys, *argv, "--host", str(host), "--profile", str(prof))
+    assert code == 2 and out == ""
+    line = one_error_line(err)
+    assert ("out of range" if argv[0] == "br" else "max_steps") in line
+
+
 def test_spanner_modes(tmp_path, capsys):
     host = tmp_path / "h.tg"
     out_tg = tmp_path / "span.tg"
@@ -142,6 +164,16 @@ def test_poa_stable_and_unstable(tmp_path, capsys):
     code, out, _ = run(capsys, "poa", "--host", str(host), "--profile", str(empty))
     assert code == 1
     assert json.loads(out)["stable"] is False
+
+
+def test_poa_on_one_node_host_is_exit_2(tmp_path, capsys):
+    host = tmp_path / "one.tg"
+    prof = tmp_path / "one.tsp"
+    host.write_text("1 0\n")
+    prof.write_text("")
+    code, out, err = run(capsys, "poa", "--host", str(host), "--profile", str(prof))
+    assert code == 2 and out == ""
+    assert "undefined" in one_error_line(err)
 
 
 def test_experiment_subcommand(tmp_path, capsys):

@@ -2,6 +2,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tncg import (
     TemporalGraph,
@@ -146,6 +148,25 @@ def test_reach_against_path_enumeration_randomized():
         g = random_graph(rng, n, t, p=rng.uniform(0.2, 0.9))
         for u in range(n):
             assert reach(g, u) == brute_reach(g, u), (g.edges, u)
+
+
+@st.composite
+def graphs_with_source(draw):
+    # few labels on up to 7 nodes: label classes come out as paths and stars,
+    # where merging a class takes more than one pass
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    labels = draw(st.lists(st.sampled_from([None, 1, 2, 3]), min_size=len(pairs), max_size=len(pairs)))
+    g = TemporalGraph(n, {p: lab for p, lab in zip(pairs, labels) if lab is not None})
+    return g, draw(st.integers(0, n - 1)), draw(st.integers(1, 4))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(graphs_with_source())
+def test_reach_from_start_label_matches_oracle(case):
+    g, u, start = case
+    upper = TemporalGraph(g.n, {p: lab for p, lab in g.edges.items() if lab >= start})
+    assert mask_to_set(g.reach_mask(u, start_label=start)) == brute_reach(upper, u)
 
 
 def test_reach_monotone_in_start_label():

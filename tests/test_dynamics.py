@@ -112,6 +112,14 @@ def test_step_cap():
     assert len(trace.moves) == 1
 
 
+@pytest.mark.parametrize("cap", [0, -5])
+def test_step_cap_below_one_is_rejected(cap):
+    host = gen_random_host(6, 2, 321)
+    profile = StrategyProfile(6, [set() for _ in range(6)])
+    with pytest.raises(ValueError, match="max_steps"):
+        run_dynamics(host, profile, rule="greedy", max_steps=cap)
+
+
 def test_explicit_schedule_exhaustion_is_step_cap():
     host = gen_random_host(5, 2, 42)
     profile = StrategyProfile(5, [set() for _ in range(5)])

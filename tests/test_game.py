@@ -91,6 +91,14 @@ def test_agent_cost_empty_profile():
     assert social_cost(host, p) == CostVector(20, 0)
 
 
+def test_agent_cost_rejects_agent_out_of_range():
+    host = gen_random_host(4, 2, 3)
+    p = StrategyProfile(4, [{1}, {2}, {3}, set()])
+    for v in (-1, 4):
+        with pytest.raises(ValueError, match="out of range"):
+            agent_cost(host, p, v)
+
+
 def test_agent_cost_star():
     host = TemporalGraph(4, {(u, v): 1 for u in range(4) for v in range(u + 1, 4)})
     p = StrategyProfile(4, [{1, 2, 3}, set(), set(), set()])

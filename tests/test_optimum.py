@@ -152,3 +152,8 @@ def test_poa_ratio_rejects_unreaching_profile():
     empty = StrategyProfile(host.n, [set() for _ in range(host.n)])
     with pytest.raises(NotASpanner):
         poa_ratio(host, empty)
+
+
+def test_poa_ratio_undefined_when_optimum_has_no_edges():
+    with pytest.raises(ValueError, match="undefined"):
+        poa_ratio(TemporalGraph(1, {}), StrategyProfile(1, [set()]))

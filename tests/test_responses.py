@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tncg import (
     SearchSpaceExceeded,
     StrategyProfile,
+    TemporalGraph,
     agent_cost,
     empty_profile,
     exact_best_response,
@@ -13,10 +16,61 @@ from tncg import (
     gen_random_profile,
     gen_t2_family,
     greedy_best_response,
+    is_temporally_connected,
+    social_cost,
 )
-from tncg.core import reach_evaluations, reset_reach_evaluations
+from tncg.core import mask_to_set, reach_evaluations, reset_reach_evaluations
+from tncg.responses import _AgentView
 
-from oracles import brute_best_response
+from oracles import brute_agent_cost, brute_best_response, brute_reach
+
+
+@st.composite
+def games(draw, max_n):
+    # a complete host on few labels, so that the created graph's label
+    # classes are paths and stars, an arbitrary profile and one agent
+    n = draw(st.integers(2, max_n))
+    pairs = [(u, w) for u in range(n) for w in range(u + 1, n)]
+    labels = draw(st.lists(st.sampled_from([1, 2, 3]), min_size=len(pairs), max_size=len(pairs)))
+    host = TemporalGraph(n, dict(zip(pairs, labels)))
+    strategies = [draw(st.sets(st.sampled_from([w for w in range(n) if w != u]))) for u in range(n)]
+    return host, StrategyProfile(n, strategies), draw(st.integers(0, n - 1))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(games(max_n=7))
+def test_agent_view_matches_oracles(case):
+    host, p, v = case
+    view = _AgentView(host, p, v)
+    rest = {}
+    for a, b in p.arcs():
+        if v not in (a, b):
+            pair = (min(a, b), max(a, b))
+            rest[pair] = host.edges[pair]
+    for w in range(host.n):
+        if w == v:
+            continue
+        start = host.label(v, w)
+        upper = TemporalGraph(host.n, {q: lab for q, lab in rest.items() if lab >= start})
+        assert mask_to_set(view.covers[w]) == brute_reach(upper, w)
+    assert view.cur_cost == brute_agent_cost(host, p, v)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(games(max_n=6))
+def test_best_responses_match_oracles(case):
+    host, p, v = case
+    cur = brute_agent_cost(host, p, v)
+    s, cost = exact_best_response(host, p, v)
+    bs, bcost = brute_best_response(host, p, v)
+    assert cost == bcost
+    # with no strict improvement the current strategy is kept
+    assert s == (p[v] if bcost == cur else bs)
+    toggles = [p[v] ^ {w} for w in range(host.n) if w != v]
+    best = min((brute_agent_cost(host, p.with_strategy(v, t), v), sorted(t)) for t in toggles)
+    s, improved = greedy_best_response(host, p, v)
+    assert improved == (best[0] < cur)
+    assert s == (frozenset(best[1]) if improved else p[v])
 
 
 def test_greedy_no_improvement_at_equilibrium():
@@ -27,7 +81,7 @@ def test_greedy_no_improvement_at_equilibrium():
         assert s == profile[v]
 
 
-def test_greedy_counts_at_most_n_reach_evaluations():
+def test_one_reach_sweep_per_greedy_response_and_per_cost_vector():
     rng = random.Random(12)
     for _ in range(40):
         n = rng.randint(3, 9)
@@ -35,9 +89,14 @@ def test_greedy_counts_at_most_n_reach_evaluations():
         host = gen_random_host(n, t, rng.randrange(10**6))
         p = gen_random_profile(host, rng.randint(0, 2 * n), rng.randrange(10**6))
         v = rng.randrange(n)
-        reset_reach_evaluations()
-        greedy_best_response(host, p, v)
-        assert reach_evaluations() <= n
+        for call in (
+            lambda: greedy_best_response(host, p, v),
+            lambda: social_cost(host, p),
+            lambda: is_temporally_connected(host),
+        ):
+            reset_reach_evaluations()
+            call()
+            assert reach_evaluations() == 1
 
 
 def test_greedy_single_move_is_improving_when_reported():
