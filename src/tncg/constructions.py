@@ -12,7 +12,7 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 from .core import TemporalGraph, _mono_spanning_tree, compress_labels
-from .game import DirectedTemporalGraph, StrategyProfile
+from .game import DirectedTemporalGraph, StrategyProfile, empty_profile
 
 
 class SetCoverInstance:
@@ -340,6 +340,8 @@ def gen_t2_equilibrium(host: TemporalGraph) -> StrategyProfile:
     t = host.lifetime
     if t > 2:
         raise ValueError(f"host lifetime must be <= 2, got {t}")
+    if host.n == 1:
+        return empty_profile(1)   # no pairs, so no label class to span
     mono = _mono_spanning_tree(host)
     if mono is None:
         raise AssertionError(

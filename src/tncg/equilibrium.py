@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import TemporalGraph, mask_to_set
+from .core import TemporalGraph, mask_to_set, norm_pair
 from .errors import PreconditionViolated
-from .game import CostVector, DirectedTemporalGraph, StrategyProfile, _agent_costs, created_graph
+from .game import CostVector, DirectedTemporalGraph, StrategyProfile, _agent_costs, _labelled_arcs
 from .responses import DEFAULT_BUDGET, _AgentView, exact_best_response, greedy_best_response
 
 
@@ -200,10 +200,12 @@ def necessary_set(
 def _necessary_masks(
     host: TemporalGraph, profile: StrategyProfile
 ) -> dict[tuple[int, int], int]:
+    # _labelled_arcs checks the profile against the host before any agent
+    # of the profile is indexed
+    owners = sorted({v for v, _, _ in _labelled_arcs(host, profile)})
     return {
         (u, w): mask
-        for u in range(host.n)
-        if profile.strategies[u]
+        for u in owners
         for w, mask in _owner_necessary_masks(host, profile, u).items()
     }
 
@@ -220,18 +222,17 @@ def find_forbidden_structure(
     two distinct targets x != y.  Returns the first witness in ascending scan
     order, or None; a None on every input is the expected outcome.
     """
-    return _find_forbidden(profile, created_graph(host, profile), _necessary_masks(host, profile))
+    return _find_forbidden(host, profile, _necessary_masks(host, profile))
 
 
 def _find_forbidden(
-    profile: StrategyProfile, g: DirectedTemporalGraph, a_masks: dict[tuple[int, int], int]
+    host: TemporalGraph, profile: StrategyProfile, a_masks: dict[tuple[int, int], int]
 ) -> Optional[ForbiddenStructure]:
-    und = g.undirected()
-    neighbor_sets: list[list[int]] = [[] for _ in range(g.n)]
-    for (a, b) in und.edges:
-        neighbor_sets[a].append(b)
-        neighbor_sets[b].append(a)
-    for z in range(g.n):
+    neighbor_sets: list[set[int]] = [set() for _ in range(host.n)]
+    for v, w, _ in _labelled_arcs(host, profile):
+        neighbor_sets[v].add(w)
+        neighbor_sets[w].add(v)
+    for z in range(host.n):
         nbrs = sorted(neighbor_sets[z])
         if len(nbrs) < 2:
             continue
@@ -239,27 +240,27 @@ def _find_forbidden(
         # label >= label({z,u}) and a non-empty necessary set
         cand: dict[int, list[tuple[tuple[int, int], int]]] = {}
         for u in nbrs:
-            zu_label = und.label(z, u)
+            zu_label = host.label(z, u)
             lst = []
             for w in sorted(profile.strategies[u]):
                 if w == z:
                     continue
                 arc = (u, w)
-                if g.arcs[arc] >= zu_label and a_masks[arc]:
+                if host.label(u, w) >= zu_label and a_masks[arc]:
                     lst.append((arc, a_masks[arc]))
             cand[u] = lst
         for u1 in nbrs:
             for u2 in nbrs:
                 if u1 == u2 or not cand[u1] or not cand[u2]:
                     continue
-                hit = _match_targets(cand[u1], cand[u2], g.n)
+                hit = _match_targets(cand[u1], cand[u2])
                 if hit is not None:
                     x, y, e1x, e1y, e2x, e2y = hit
                     return ForbiddenStructure(z, u1, u2, x, y, e1x, e1y, e2x, e2y)
     return None
 
 
-def _match_targets(c1, c2, n):
+def _match_targets(c1, c2):
     """Two targets x < y, each in a necessary set of both agents, with the
     two arcs per agent distinct."""
     t1: dict[int, list[tuple[int, int]]] = {}
@@ -407,13 +408,12 @@ def audit_edge_bounds(host: TemporalGraph, profile: StrategyProfile) -> BoundsRe
 
 
 def audit_profile(host: TemporalGraph, profile: StrategyProfile) -> ProfileAudit:
-    g = created_graph(host, profile)
     masks = _necessary_masks(host, profile)
     return ProfileAudit(
-        antiparallel_free=not g.has_antiparallel(),
+        antiparallel_free=not any(v in profile.strategies[w] for v, w in profile.arcs()),
         bounds=audit_edge_bounds(host, profile),
         necessary_ok=all(masks.values()),
-        forbidden=_find_forbidden(profile, g, masks),
+        forbidden=_find_forbidden(host, profile, masks),
     )
 
 
@@ -426,9 +426,9 @@ def freeze_relabel(host: TemporalGraph, profile: StrategyProfile) -> TemporalGra
     restores consecutiveness when a strict host value is needed.
     """
     t = host.lifetime
-    created = created_graph(host, profile).undirected()
+    created = {norm_pair(v, w) for v, w, _ in _labelled_arcs(host, profile)}
     edges = {
-        p: (label if p in created.edges else t + 1)
+        p: (label if p in created else t + 1)
         for p, label in host.edges.items()
     }
     return TemporalGraph(host.n, edges)

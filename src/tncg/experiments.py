@@ -49,11 +49,20 @@ from .optimum import minimum_spanner, poa_ratio
 from .responses import exact_best_response
 
 
-def _pmap(fn: Callable, args_list: list, threads: int) -> list:
+def _pmap(fn: Callable, args_list: list, threads: int) -> tuple[list[dict], list[dict]]:
+    """Rows and falsifications of fn over args_list, in order.
+
+    fn returns (row, messages); each message becomes a falsification carrying
+    its row's index.
+    """
     if threads > 1 and len(args_list) > 1:
         with ProcessPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, args_list, chunksize=1))
-    return [fn(a) for a in args_list]
+            results = list(ex.map(fn, args_list, chunksize=1))
+    else:
+        results = [fn(a) for a in args_list]
+    rows = [row for row, _ in results]
+    fals = [{"index": row["index"], "message": m} for row, msgs in results for m in msgs]
+    return rows, fals
 
 
 def _frac_fields(prefix: str, value: Optional[Fraction]) -> dict:
@@ -193,7 +202,7 @@ def _reduction_instance(args):
         msgs.append("minimum-cover instance is not a Nash equilibrium")
     if has_nonmin and (ne_nonmin_stable or not witness_is_x):
         msgs.append("non-minimum cover instance should be refuted through agent x")
-    return row, [{"index": idx, "message": m} for m in msgs]
+    return row, msgs
 
 
 def _run_reduction_audit(cfg, seed, threads):
@@ -202,9 +211,7 @@ def _run_reduction_audit(cfg, seed, threads):
         (i, base.randrange(2**32), cfg["k_min"], cfg["k_max"], cfg["m_min"], cfg["m_max"])
         for i in range(cfg["instances"])
     ]
-    results = _pmap(_reduction_instance, args, threads)
-    rows = [r for r, _ in results]
-    fals = [f for _, fs in results for f in fs]
+    rows, fals = _pmap(_reduction_instance, args, threads)
     return rows, fals, {}
 
 
@@ -277,7 +284,7 @@ def _ge_sweep_instance(args):
                     msgs.append(f"ratio {ratio} exceeds t(n-2)/(n-1) = {cap}")
         except SearchSpaceExceeded:
             pass
-    return row, [{"index": idx, "message": m} for m in msgs]
+    return row, msgs
 
 
 def _run_random_ge_sweep(cfg, seed, threads):
@@ -294,9 +301,7 @@ def _run_random_ge_sweep(cfg, seed, threads):
         )
         for i in range(cfg["instances"])
     ]
-    results = _pmap(_ge_sweep_instance, args, threads)
-    rows = [r for r, _ in results]
-    fals = [f for _, fs in results for f in fs]
+    rows, fals = _pmap(_ge_sweep_instance, args, threads)
     outcomes = [r["outcome"] for r in rows]
     extra = {
         "converged_ge": outcomes.count(OUTCOME_GE),
@@ -353,7 +358,7 @@ def _freeze_instance(args):
         if sc_before != sc_after:
             msgs.append("social cost changed under freezing")
         break
-    return row, [{"index": idx, "message": m} for m in msgs]
+    return row, msgs
 
 
 def _run_freeze_relabel_audit(cfg, seed, threads):
@@ -370,9 +375,7 @@ def _run_freeze_relabel_audit(cfg, seed, threads):
         )
         for i in range(cfg["instances"])
     ]
-    results = _pmap(_freeze_instance, args, threads)
-    rows = [r for r, _ in results]
-    fals = [f for _, fs in results for f in fs]
+    rows, fals = _pmap(_freeze_instance, args, threads)
     extra = {"ges_verified": sum(1 for r in rows if r["converged"])}
     return rows, fals, extra
 
@@ -405,7 +408,7 @@ def _t2_instance(args):
         msgs.append(f"constructed profile unstable (part={part}, n={n}, code={code_or_seed})")
     if profile.arc_count != n - 1:
         msgs.append("constructed profile is not a spanning tree")
-    return row, [{"index": idx, "message": m} for m in msgs]
+    return row, msgs
 
 
 def _run_t2_existence_sweep(cfg, seed, threads):
@@ -418,9 +421,7 @@ def _run_t2_existence_sweep(cfg, seed, threads):
         rng = random.Random(base.randrange(2**32))
         n = rng.randint(cfg["n_min"], cfg["n_max"])
         args.append((nxt + j, "random", n, rng.randrange(2**32)))
-    results = _pmap(_t2_instance, args, threads)
-    rows = [r for r, _ in results]
-    fals = [f for _, fs in results for f in fs]
+    rows, fals = _pmap(_t2_instance, args, threads)
     extra = {"exhaustive": 1 << pairs, "random": cfg["random_instances"]}
     return rows, fals, extra
 
@@ -453,7 +454,7 @@ def _large_node_instance(args):
         row["got_witness"] = False
         if expect_witness:
             msgs.append(f"precondition rejected {arcs} arcs at n={n}")
-    return row, [{"index": idx, "message": m} for m in msgs]
+    return row, msgs
 
 
 def _run_large_node_audit(cfg, seed, threads):
@@ -464,9 +465,7 @@ def _run_large_node_audit(cfg, seed, threads):
     nxt = len(args)
     for j, below in enumerate(cfg["below_arcs"]):
         args.append((nxt + j, base.randrange(2**32), cfg["n"], below, cfg["t"], False))
-    results = _pmap(_large_node_instance, args, threads)
-    rows = [r for r, _ in results]
-    fals = [f for _, fs in results for f in fs]
+    rows, fals = _pmap(_large_node_instance, args, threads)
     return rows, fals, {}
 
 
@@ -511,10 +510,49 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+def _range_rules(scenario: str, cfg: dict) -> list[tuple[str, bool, str]]:
+    """(key, holds, requirement) for each value range that the scenario's
+    generators enforce.  A key is checked even where no instance draws from
+    it, so whether a config runs does not depend on its seed."""
+    if scenario == "hypercube-poa":
+        return [("dims", all(d >= 3 for d in cfg["dims"]), "every dimension must be >= 3")]
+    if scenario == "t2-tightness":
+        return [("n_values", all(n >= 5 for n in cfg["n_values"]), "every n must be >= 5")]
+    if scenario == "reduction-audit":
+        # instances draw k from max(k_min, 2)..k_max, and m likewise
+        return [
+            ("k_max", cfg["k_max"] >= 2, "must be >= 2"),
+            ("m_max", cfg["m_max"] >= 2, "must be >= 2"),
+        ]
+    if scenario in ("random-ge-sweep", "freeze-relabel-audit"):
+        n_min = cfg["n_min"]
+        pairs = n_min * (n_min - 1) // 2
+        return [
+            ("t_min", cfg["t_min"] >= 1, "must be >= 1"),
+            ("t_max", cfg["t_max"] <= pairs,
+             f"must be <= {pairs}, the pair count of a host with n_min = {n_min} nodes"),
+        ]
+    if scenario == "t2-existence-sweep":
+        return [
+            ("exhaustive_n", cfg["exhaustive_n"] >= 1, "must be >= 1"),
+            ("n_min", cfg["n_min"] >= 3, "must be >= 3, so that a host has room for labels 1 and 2"),
+        ]
+    if scenario == "large-node-audit":
+        n = cfg["n"]
+        full = n * (n - 1)
+        most = f"must be <= {full}, the arc count of a complete directed graph on n = {n} nodes"
+        return [
+            ("t", cfg["t"] >= 1, "must be >= 1"),
+            ("arcs", cfg["arcs"] <= full, most),
+            ("below_arcs", all(a <= full for a in cfg["below_arcs"]), "every entry " + most),
+        ]
+    return []
+
+
 def _check_config(scenario: str, cfg: dict) -> None:
     """Reject values that are not counts (or lists of counts like their
-    defaults; the seed is a count), inverted min/max ranges, and sweeps with
-    no instances."""
+    defaults; the seed is a count), inverted min/max ranges, sweeps with
+    no instances, and values outside the ranges of `_range_rules`."""
     for key, value in cfg.items():
         if isinstance(SCENARIO_DEFAULTS[scenario].get(key), list):
             if not (isinstance(value, list) and all(_is_count(x) for x in value)):
@@ -530,6 +568,9 @@ def _check_config(scenario: str, cfg: dict) -> None:
     if sources and sum(len(cfg[k]) if k != "instances" else cfg[k] for k in sources) == 0:
         named = ", ".join(f"{k}={cfg[k]!r}" for k in sources)
         raise ValueError(f"config {named} leaves scenario {scenario} with no instances")
+    for key, holds, requirement in _range_rules(scenario, cfg):
+        if not holds:
+            raise ValueError(f"config key {key!r} = {cfg[key]!r}: {requirement}")
 
 
 _RUNNERS = {

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 from typing import Iterable, Mapping, Sequence
 
-from .core import TemporalGraph, _reach_sweep, norm_pair
+from .core import TemporalGraph, _reach_sweep
 
 
 @total_ordering
@@ -114,8 +114,8 @@ def empty_profile(n: int) -> StrategyProfile:
 class DirectedTemporalGraph:
     """Directed arcs with labels; the created graph of a profile.
 
-    Antiparallel arcs may coexist but must agree on their label (they always
-    do when labels come from one host pair).
+    Antiparallel arcs may coexist; in a created graph they share the label
+    of their host pair.
     """
 
     __slots__ = ("n", "arcs")
@@ -134,17 +134,6 @@ class DirectedTemporalGraph:
     @property
     def arc_count(self) -> int:
         return len(self.arcs)
-
-    def has_antiparallel(self) -> bool:
-        return any((v, u) in self.arcs for (u, v) in self.arcs)
-
-    def undirected(self) -> TemporalGraph:
-        edges: dict[tuple[int, int], int] = {}
-        for (u, v), label in self.arcs.items():
-            p = norm_pair(u, v)
-            if edges.setdefault(p, label) != label:
-                raise ValueError(f"antiparallel arcs on {p} disagree on label")
-        return TemporalGraph(self.n, edges)
 
 
 def _labelled_arcs(host: TemporalGraph, profile: StrategyProfile):

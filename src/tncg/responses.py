@@ -16,8 +16,9 @@ at its own start label({v, w}); no graph object is built.
 
 The view is the one place that evaluates an agent: dynamics takes move costs
 from it, the equilibrium checks run its searches, and the structural audit
-reads necessary sets off its covers, so none of them rebuilds the created
-graph per agent or per arc.
+reads necessary sets off its covers.  The audits take the created graph's
+pairs and labels straight from the profile and the host, so no check or
+audit builds a graph.
 """
 
 from __future__ import annotations

@@ -49,16 +49,20 @@ def brute_minimum_spanner(host: TemporalGraph, max_extra: int = 64) -> int:
     raise AssertionError("graph itself is not temporally connected")
 
 
-def brute_agent_cost(host, profile, v):
-    """Agent cost from scratch: undirected created graph, DFS reachability."""
-    from tncg import CostVector
-
+def brute_created_graph(host, profile) -> TemporalGraph:
+    """Undirected created graph: the host pair of every bought arc."""
     edges = {}
     for (a, b) in profile.arcs():
         pair = (a, b) if a < b else (b, a)
         edges[pair] = host.edges[pair]
-    und = TemporalGraph(host.n, edges)
-    reached = brute_reach(und, v)
+    return TemporalGraph(host.n, edges)
+
+
+def brute_agent_cost(host, profile, v):
+    """Agent cost from scratch: undirected created graph, DFS reachability."""
+    from tncg import CostVector
+
+    reached = brute_reach(brute_created_graph(host, profile), v)
     return CostVector(host.n - len(reached), len(profile[v]))
 
 

@@ -210,6 +210,20 @@ def test_experiment_subcommand(tmp_path, capsys):
         ("br-cycle", ["seed=abc"], "seed"),
         ("br-cycle", ["seed=1.5"], "seed"),
         ("br-cycle", ["seed=-1"], "seed"),
+        ("random-ge-sweep", ["n_min=1", "n_max=1", "instances=2"], "t_max"),
+        ("random-ge-sweep", ["n_min=3", "n_max=3", "t_min=0", "t_max=0"], "t_min"),
+        ("random-ge-sweep", ["n_min=2", "n_max=2"], "t_max"),
+        ("freeze-relabel-audit", ["n_min=2", "n_max=2"], "t_max"),
+        ("hypercube-poa", ["dims=[1]"], "dims"),
+        ("hypercube-poa", ["dims=[3, 2]"], "dims"),
+        ("t2-tightness", ["n_values=[1]"], "n_values"),
+        ("t2-existence-sweep", ["n_min=2", "n_max=2"], "n_min"),
+        ("t2-existence-sweep", ["exhaustive_n=0"], "exhaustive_n"),
+        ("large-node-audit", ["t=0"], "'t'"),
+        ("large-node-audit", ["arcs=5000"], "arcs"),
+        ("large-node-audit", ["below_arcs=[500, 1261]"], "below_arcs"),
+        ("reduction-audit", ["k_min=1", "k_max=1"], "k_max"),
+        ("reduction-audit", ["m_min=1", "m_max=1"], "m_max"),
     ],
 )
 def test_experiment_rejects_bad_config(tmp_path, capsys, scenario, settings, key):

@@ -4,7 +4,9 @@ import pytest
 
 from tncg import (
     SetCoverInstance,
+    TemporalGraph,
     check_ne,
+    empty_profile,
     gen_br_cycle,
     gen_hypercube,
     gen_random_directed,
@@ -147,6 +149,13 @@ def test_t2_equilibrium_basics():
         assert check_ne(host, profile).stable
     with pytest.raises(ValueError):
         gen_t2_equilibrium(gen_random_host(5, 3, 0))
+
+
+def test_t2_equilibrium_on_one_node_host():
+    host = TemporalGraph(1, {})
+    profile = gen_t2_equilibrium(host)
+    assert profile == empty_profile(1)
+    assert check_ne(host, profile).stable
 
 
 def test_random_host_is_valid_and_deterministic():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from tncg import (
+    DirectedTemporalGraph,
     PreconditionViolated,
     SearchSpaceExceeded,
     StrategyProfile,
@@ -12,8 +13,8 @@ from tncg import (
     audit_profile,
     check_ge,
     check_ne,
-    created_graph,
     empty_profile,
+    final_profile,
     find_forbidden_structure,
     find_large_node,
     freeze_relabel,
@@ -23,11 +24,12 @@ from tncg import (
     gen_random_profile,
     gen_t2_family,
     necessary_set,
+    run_dynamics,
     verify_large_node,
 )
-from tncg.equilibrium import _ceil_sqrt_over, _dense_below_threshold
+from tncg.equilibrium import _ceil_sqrt_over, _dense_below_threshold, _find_forbidden
 
-from oracles import brute_reach
+from oracles import brute_created_graph, brute_reach
 
 
 def test_check_ne_and_ge_on_families():
@@ -92,10 +94,9 @@ def test_necessary_set_matches_reach_difference():
         n = rng.randint(3, 6)
         host = gen_random_host(n, rng.randint(1, 3), rng.randrange(10**6))
         p = gen_random_profile(host, rng.randint(1, n + 1), rng.randrange(10**6))
-        g = created_graph(host, p)
-        for (u, w) in list(g.arcs):
-            und = g.undirected()
-            if (w, u) in g.arcs:
+        und = brute_created_graph(host, p)
+        for (u, w) in p.arcs():
+            if u in p[w]:
                 rest = und  # antiparallel twin keeps the pair alive
             else:
                 rest = und.without_edge(u, w)
@@ -153,6 +154,18 @@ def test_forbidden_structure_near_misses_return_none():
     assert find_forbidden_structure(host, profile) is None
 
 
+def test_forbidden_scan_returns_first_witness():
+    # with every necessary set forced to {x, y}, the scan's first witness
+    # pins its order: z, then u1 < u2, then targets, then arcs ascending
+    host, profile = _near_miss_geometry(z_label=1)
+    masks = {arc: (1 << 3) | (1 << 4) for arc in profile.arcs()}
+    witness = _find_forbidden(host, profile, masks)
+    assert witness.as_dict() == {
+        "z": 0, "u1": 1, "u2": 2, "x": 3, "y": 4,
+        "e1x": [1, 5], "e1y": [1, 6], "e2x": [2, 7], "e2y": [2, 8],
+    }
+
+
 def test_forbidden_structure_none_on_random_profiles():
     rng = random.Random(4711)
     for _ in range(120):
@@ -178,6 +191,52 @@ def test_audit_profile_on_equilibrium():
     assert audit.ok
     assert audit.antiparallel_free and audit.necessary_ok
     assert audit.forbidden is None
+
+
+def test_audit_profile_flags_antiparallel_pair():
+    host, profile = gen_hypercube(3)
+    # 0 already buys the arc to 1; 1 buying it back makes a twin
+    twin = profile.with_strategy(1, profile[1] | {0})
+    audit = audit_profile(host, twin)
+    assert not audit.antiparallel_free
+    assert not audit.ok
+    assert audit.as_dict()["antiparallel_free"] is False
+
+
+def test_audits_reject_profile_of_other_size():
+    host = gen_random_host(5, 3, 1)
+    profiles = [
+        empty_profile(4),   # indexing agent 4 of it would fail first
+        StrategyProfile(4, [{1}, set(), set(), set()]),
+        StrategyProfile(6, [set()] * 5 + [{0}]),
+    ]
+    for p in profiles:
+        for audit in (audit_profile, find_forbidden_structure, freeze_relabel):
+            with pytest.raises(ValueError, match="does not match host"):
+                audit(host, p)
+    incomplete = TemporalGraph(3, {(0, 1): 1})
+    with pytest.raises(ValueError, match="no host pair"):
+        freeze_relabel(incomplete, StrategyProfile(3, [{2}, set(), set()]))
+
+
+def test_audits_build_no_graph(monkeypatch):
+    host = gen_random_host(8, 6, 21)
+    trace = run_dynamics(host, empty_profile(8))
+    profile = final_profile(trace)
+    builds = []
+    for cls in (TemporalGraph, DirectedTemporalGraph):
+        init = cls.__init__
+
+        def counting(graph, *args, _init=init, **kwargs):
+            builds.append(graph)
+            _init(graph, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    assert audit_profile(host, profile).ok
+    assert check_ge(host, profile, audit=True).audit.ok
+    assert builds == []
+    frozen = freeze_relabel(host, profile)
+    assert builds == [frozen]
 
 
 def test_dense_threshold_exact_arithmetic():

@@ -4,7 +4,6 @@ import pytest
 
 from tncg import (
     CostVector,
-    DirectedTemporalGraph,
     StrategyProfile,
     TemporalGraph,
     agent_cost,
@@ -72,15 +71,6 @@ def test_created_graph_copies_host_labels():
     assert g.arcs == {(0, 1): 2, (1, 2): 3}
     with pytest.raises(ValueError):
         created_graph(TemporalGraph(3, {(0, 1): 1}), StrategyProfile(3, [{2}, set(), set()]))
-
-
-def test_antiparallel_and_undirected():
-    g = DirectedTemporalGraph(3, {(0, 1): 2, (1, 0): 2, (1, 2): 1})
-    assert g.has_antiparallel()
-    und = g.undirected()
-    assert und.edges == {(0, 1): 2, (1, 2): 1}
-    with pytest.raises(ValueError):
-        DirectedTemporalGraph(3, {(0, 1): 2, (1, 0): 3}).undirected()
 
 
 def test_agent_cost_empty_profile():
