@@ -33,7 +33,7 @@ from .fileio import (
     save_profile,
     validate_files,
 )
-from .game import agent_cost, social_cost
+from .game import agent_cost, empty_profile, social_cost
 from .optimum import minimal_spanner, minimum_spanner, poa_ratio
 from .responses import DEFAULT_BUDGET, exact_best_response, greedy_best_response
 
@@ -160,8 +160,6 @@ def _cmd_dynamics(args) -> int:
     if args.profile:
         profile = load_profile(args.profile, n=host.n)
     else:
-        from .game import empty_profile
-
         profile = empty_profile(host.n)
     schedule = _parse_schedule_arg(args.schedule)
     trace = run_dynamics(
@@ -403,9 +401,5 @@ def main(argv=None) -> int:
         return 2
 
 
-def console_main() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    console_main()
+    sys.exit(main())

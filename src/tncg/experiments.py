@@ -14,12 +14,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 from . import __version__
 from .constructions import (
@@ -37,6 +38,7 @@ from .constructions import (
 from .core import TemporalGraph, compress_labels
 from .dynamics import OUTCOME_CYCLE, OUTCOME_GE, final_profile, run_dynamics
 from .equilibrium import (
+    _dense_below_threshold,
     check_ge,
     check_ne,
     find_large_node,
@@ -65,83 +67,83 @@ def _pmap(fn: Callable, args_list: list, threads: int) -> tuple[list[dict], list
     return rows, fals
 
 
-def _frac_fields(prefix: str, value: Optional[Fraction]) -> dict:
-    if value is None:
-        return {f"{prefix}_num": None, f"{prefix}_den": None}
+def _frac_fields(prefix: str, value: Fraction) -> dict:
     return {f"{prefix}_num": value.numerator, f"{prefix}_den": value.denominator}
 
 
 # ---------------------------------------------------------------- scenarios
+# Every scenario is one instance function (idx, inst_seed, cfg) -> (row,
+# messages); inst_seed is None where the config alone fixes the instance.
+
+def _hypercube_instance(args):
+    idx, _, cfg = args
+    d = cfg["dims"][idx]
+    host, profile = gen_hypercube(d)
+    ne = check_ne(host, profile)
+    ge = check_ge(host, profile)
+    opt_graph, opt = minimum_spanner(host)
+    ratio = Fraction(profile.arc_count, opt)
+    expected = Fraction(d * (1 << (d - 1)), (1 << d) - 1)
+    row = {
+        "index": idx,
+        "dim": d,
+        "n": host.n,
+        "t": host.lifetime,
+        "arcs": profile.arc_count,
+        "ne_stable": ne.stable,
+        "ge_stable": ge.stable,
+        "opt_size": opt,
+        **_frac_fields("poa", ratio),
+        **_frac_fields("expected", expected),
+    }
+    msgs = []
+    if not ne.stable or not ge.stable:
+        msgs.append(f"d={d}: profile is not an equilibrium")
+    if opt != host.n - 1:
+        msgs.append(f"d={d}: optimum {opt} != n-1")
+    if ratio != expected:
+        msgs.append(f"d={d}: ratio {ratio} != expected {expected}")
+    return row, msgs
 
 
-def _run_hypercube_poa(cfg, seed, threads):
-    rows, fals = [], []
-    for idx, d in enumerate(cfg["dims"]):
-        host, profile = gen_hypercube(d)
-        ne = check_ne(host, profile)
-        ge = check_ge(host, profile)
-        opt_graph, opt = minimum_spanner(host)
-        ratio = Fraction(profile.arc_count, opt)
-        expected = Fraction(d * (1 << (d - 1)), (1 << d) - 1)
-        row = {
-            "index": idx,
-            "dim": d,
-            "n": host.n,
-            "t": host.lifetime,
-            "arcs": profile.arc_count,
-            "ne_stable": ne.stable,
-            "ge_stable": ge.stable,
-            "opt_size": opt,
-            **_frac_fields("poa", ratio),
-            **_frac_fields("expected", expected),
-        }
-        rows.append(row)
-        if not ne.stable or not ge.stable:
-            fals.append({"index": idx, "message": f"d={d}: profile is not an equilibrium"})
-        if opt != host.n - 1:
-            fals.append({"index": idx, "message": f"d={d}: optimum {opt} != n-1"})
-        if ratio != expected:
-            fals.append({"index": idx, "message": f"d={d}: ratio {ratio} != expected {expected}"})
-    return rows, fals, {}
+def _t2_tightness_instance(args):
+    idx, _, cfg = args
+    n = cfg["n_values"][idx]
+    host, profile = gen_t2_family(n)
+    ne = check_ne(host, profile)
+    arcs = profile.arc_count
+    bound = host.lifetime * (n - 2)
+    ratio = poa_ratio(host, profile)
+    expected = Fraction(2 * (n - 2), n - 1)
+    row = {
+        "index": idx,
+        "n": n,
+        "t": host.lifetime,
+        "arcs": arcs,
+        "bound": bound,
+        "tight": arcs == bound,
+        "ne_stable": ne.stable,
+        **_frac_fields("poa", ratio),
+        **_frac_fields("expected", expected),
+    }
+    msgs = []
+    if not ne.stable:
+        msgs.append(f"n={n}: family profile not an equilibrium")
+    if arcs != 2 * (n - 2) or arcs != bound:
+        msgs.append(f"n={n}: arc count {arcs} not tight for bound {bound}")
+    if ratio != expected:
+        msgs.append(f"n={n}: ratio {ratio} != expected {expected}")
+    return row, msgs
 
 
-def _run_t2_tightness(cfg, seed, threads):
-    rows, fals = [], []
-    for idx, n in enumerate(cfg["n_values"]):
-        host, profile = gen_t2_family(n)
-        ne = check_ne(host, profile)
-        arcs = profile.arc_count
-        bound = host.lifetime * (n - 2)
-        ratio = poa_ratio(host, profile)
-        expected = Fraction(2 * (n - 2), n - 1)
-        row = {
-            "index": idx,
-            "n": n,
-            "t": host.lifetime,
-            "arcs": arcs,
-            "bound": bound,
-            "tight": arcs == bound,
-            "ne_stable": ne.stable,
-            **_frac_fields("poa", ratio),
-            **_frac_fields("expected", expected),
-        }
-        rows.append(row)
-        if not ne.stable:
-            fals.append({"index": idx, "message": f"n={n}: family profile not an equilibrium"})
-        if arcs != 2 * (n - 2) or arcs != bound:
-            fals.append({"index": idx, "message": f"n={n}: arc count {arcs} not tight for bound {bound}"})
-        if ratio != expected:
-            fals.append({"index": idx, "message": f"n={n}: ratio {ratio} != expected {expected}"})
-    return rows, fals, {}
-
-
-def _run_br_cycle(cfg, seed, threads):
+def _br_cycle_instance(args):
+    idx, _, _ = args
     host, profile, schedule = gen_br_cycle()
     trace = run_dynamics(host, profile, schedule=schedule, rule="greedy")
     returned = trace.final == profile.canonical()
     improving = all(m.cost_after < m.cost_before for m in trace.moves)
     row = {
-        "index": 0,
+        "index": idx,
         "outcome": trace.outcome,
         "moves": len(trace.moves),
         "period": trace.period,
@@ -149,19 +151,20 @@ def _run_br_cycle(cfg, seed, threads):
         "returned_to_start": returned,
         "all_improving": improving,
     }
-    fals = []
+    msgs = []
     if trace.outcome != OUTCOME_CYCLE or trace.period != 6 or trace.entry != 0:
-        fals.append({"index": 0, "message": f"expected a period-6 cycle from the start, got {trace.outcome}"})
+        msgs.append(f"expected a period-6 cycle from the start, got {trace.outcome}")
     if not returned:
-        fals.append({"index": 0, "message": "schedule did not return to the initial profile"})
+        msgs.append("schedule did not return to the initial profile")
     if not improving:
-        fals.append({"index": 0, "message": "a scheduled move was not strictly improving"})
-    return [row], fals, {}
+        msgs.append("a scheduled move was not strictly improving")
+    return row, msgs
 
 
 def _reduction_instance(args):
-    idx, inst_seed, k_min, k_max, m_min, m_max = args
-    sc = gen_random_setcover(k_max, m_max, inst_seed, k_min=k_min, m_min=m_min)
+    idx, inst_seed, cfg = args
+    sc = gen_random_setcover(cfg["k_max"], cfg["m_max"], inst_seed,
+                             k_min=cfg["k_min"], m_min=cfg["m_min"])
     min_size, min_cover = sc.min_cover()
 
     host, profile, layout = gen_reduction_br(sc)
@@ -205,23 +208,20 @@ def _reduction_instance(args):
     return row, msgs
 
 
-def _run_reduction_audit(cfg, seed, threads):
-    base = random.Random(seed)
-    args = [
-        (i, base.randrange(2**32), cfg["k_min"], cfg["k_max"], cfg["m_min"], cfg["m_max"])
-        for i in range(cfg["instances"])
-    ]
-    rows, fals = _pmap(_reduction_instance, args, threads)
-    return rows, fals, {}
+def _greedy_run(inst_seed: int, cfg: dict):
+    """A random host with n and t drawn from cfg's ranges, and the trace of
+    greedy round-robin dynamics on it from the empty profile."""
+    rng = random.Random(inst_seed)
+    n = rng.randint(cfg["n_min"], cfg["n_max"])
+    t = rng.randint(cfg["t_min"], cfg["t_max"])
+    host = gen_random_host(n, t, rng.randrange(2**32))
+    return host, run_dynamics(host, empty_profile(n), schedule="round-robin", rule="greedy")
 
 
 def _ge_sweep_instance(args):
-    idx, inst_seed, n_min, n_max, t_min, t_max, poa_budget = args
-    rng = random.Random(inst_seed)
-    n = rng.randint(n_min, n_max)
-    t = rng.randint(t_min, t_max)
-    host = gen_random_host(n, t, rng.randrange(2**32))
-    trace = run_dynamics(host, empty_profile(n), schedule="round-robin", rule="greedy")
+    idx, inst_seed, cfg = args
+    host, trace = _greedy_run(inst_seed, cfg)
+    n = host.n
     row = {
         "index": idx,
         "seed": inst_seed,
@@ -229,19 +229,12 @@ def _ge_sweep_instance(args):
         "t": host.lifetime,
         "outcome": trace.outcome,
         "moves": len(trace.moves),
-        "edges": None,
-        "ge_verified": None,
-        "antiparallel_free": None,
-        "necessary_ok": None,
-        "forbidden_none": None,
-        "arc_bound": None,
-        "arc_bound_applies": None,
-        "arc_bound_ok": None,
-        "dense_ok": None,
-        "opt_size": None,
-        "poa_num": None,
-        "poa_den": None,
-        "poa_within_bound": None,
+        # filled in below for a converged equilibrium
+        **dict.fromkeys([
+            "edges", "ge_verified", "antiparallel_free", "necessary_ok", "forbidden_none",
+            "arc_bound", "arc_bound_applies", "arc_bound_ok", "dense_ok",
+            "opt_size", "poa_num", "poa_den", "poa_within_bound",
+        ]),
     }
     msgs = []
     if trace.outcome == OUTCOME_GE:
@@ -274,7 +267,7 @@ def _ge_sweep_instance(args):
         if not audit.bounds.dense_ok:
             msgs.append(f"edge count {profile.arc_count} reaches the dense threshold")
         try:
-            opt_graph, opt = minimum_spanner(host, budget_cap=poa_budget)
+            opt_graph, opt = minimum_spanner(host, budget_cap=cfg["poa_budget"])
             ratio = Fraction(profile.arc_count, opt)
             row.update(opt_size=opt, **_frac_fields("poa", ratio))
             if host.lifetime > 1:
@@ -287,32 +280,8 @@ def _ge_sweep_instance(args):
     return row, msgs
 
 
-def _run_random_ge_sweep(cfg, seed, threads):
-    base = random.Random(seed)
-    args = [
-        (
-            i,
-            base.randrange(2**32),
-            cfg["n_min"],
-            cfg["n_max"],
-            cfg["t_min"],
-            cfg["t_max"],
-            cfg["poa_budget"],
-        )
-        for i in range(cfg["instances"])
-    ]
-    rows, fals = _pmap(_ge_sweep_instance, args, threads)
-    outcomes = [r["outcome"] for r in rows]
-    extra = {
-        "converged_ge": outcomes.count(OUTCOME_GE),
-        "cycles": outcomes.count(OUTCOME_CYCLE),
-        "other": len(rows) - outcomes.count(OUTCOME_GE) - outcomes.count(OUTCOME_CYCLE),
-    }
-    return rows, fals, extra
-
-
 def _freeze_instance(args):
-    idx, inst_seed, n_min, n_max, t_min, t_max, retries = args
+    idx, inst_seed, cfg = args
     row = {
         "index": idx,
         "seed": inst_seed,
@@ -326,13 +295,8 @@ def _freeze_instance(args):
         "frozen_lifetime": None,
     }
     msgs = []
-    for r in range(retries):
-        attempt_seed = inst_seed + r * 1_000_003
-        rng = random.Random(attempt_seed)
-        n = rng.randint(n_min, n_max)
-        t = rng.randint(t_min, t_max)
-        host = gen_random_host(n, t, rng.randrange(2**32))
-        trace = run_dynamics(host, empty_profile(n), schedule="round-robin", rule="greedy")
+    for r in range(cfg["retries"]):
+        host, trace = _greedy_run(inst_seed + r * 1_000_003, cfg)
         row["attempts"] = r + 1
         if trace.outcome != OUTCOME_GE:
             continue
@@ -343,7 +307,7 @@ def _freeze_instance(args):
         sc_before = social_cost(host, profile)
         sc_after = social_cost(frozen, profile)
         row.update(
-            n=n,
+            n=host.n,
             t=host.lifetime,
             converged=True,
             ge_verified=ge.stable,
@@ -361,74 +325,47 @@ def _freeze_instance(args):
     return row, msgs
 
 
-def _run_freeze_relabel_audit(cfg, seed, threads):
-    base = random.Random(seed)
-    args = [
-        (
-            i,
-            base.randrange(2**32),
-            cfg["n_min"],
-            cfg["n_max"],
-            cfg["t_min"],
-            cfg["t_max"],
-            cfg["retries"],
-        )
-        for i in range(cfg["instances"])
-    ]
-    rows, fals = _pmap(_freeze_instance, args, threads)
-    extra = {"ges_verified": sum(1 for r in rows if r["converged"])}
-    return rows, fals, extra
-
-
 def _t2_instance(args):
-    idx, part, n, code_or_seed = args
-    if part == "exhaustive":
-        edges = {}
-        bit = 0
-        for u in range(n):
-            for v in range(u + 1, n):
-                edges[(u, v)] = 1 + ((code_or_seed >> bit) & 1)
-                bit += 1
+    """An exhaustive instance (no seed) labels K_n by the bits of its index;
+    a random one draws n and a host seed from its instance seed."""
+    idx, inst_seed, cfg = args
+    if inst_seed is None:
+        part, n, code = "exhaustive", cfg["exhaustive_n"], idx
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = {p: 1 + ((code >> bit) & 1) for bit, p in enumerate(pairs)}
         host = compress_labels(TemporalGraph(n, edges))
     else:
-        host = gen_random_host(n, 2, code_or_seed)
+        rng = random.Random(inst_seed)
+        part, n = "random", rng.randint(cfg["n_min"], cfg["n_max"])
+        code = rng.randrange(2**32)
+        host = gen_random_host(n, 2, code)
     profile = gen_t2_equilibrium(host)
     ne = check_ne(host, profile)
     row = {
         "index": idx,
         "part": part,
         "n": n,
-        "code": code_or_seed,
+        "code": code,
         "t": host.lifetime,
         "arcs": profile.arc_count,
         "ne_stable": ne.stable,
     }
     msgs = []
     if not ne.stable:
-        msgs.append(f"constructed profile unstable (part={part}, n={n}, code={code_or_seed})")
+        msgs.append(f"constructed profile unstable (part={part}, n={n}, code={code})")
     if profile.arc_count != n - 1:
         msgs.append("constructed profile is not a spanning tree")
     return row, msgs
 
 
-def _run_t2_existence_sweep(cfg, seed, threads):
-    n_ex = cfg["exhaustive_n"]
-    pairs = n_ex * (n_ex - 1) // 2
-    args = [(i, "exhaustive", n_ex, code) for i, code in enumerate(range(1 << pairs))]
-    base = random.Random(seed)
-    nxt = len(args)
-    for j in range(cfg["random_instances"]):
-        rng = random.Random(base.randrange(2**32))
-        n = rng.randint(cfg["n_min"], cfg["n_max"])
-        args.append((nxt + j, "random", n, rng.randrange(2**32)))
-    rows, fals = _pmap(_t2_instance, args, threads)
-    extra = {"exhaustive": 1 << pairs, "random": cfg["random_instances"]}
-    return rows, fals, extra
-
-
 def _large_node_instance(args):
-    idx, inst_seed, n, arcs, t, expect_witness = args
-    g = gen_random_directed(n, arcs, t, inst_seed)
+    """The first `instances` rows use `arcs` and expect a witness; the rest
+    use the `below_arcs` entries and expect a rejection."""
+    idx, inst_seed, cfg = args
+    n = cfg["n"]
+    expect_witness = idx < cfg["instances"]
+    arcs = cfg["arcs"] if expect_witness else cfg["below_arcs"][idx - cfg["instances"]]
+    g = gen_random_directed(n, arcs, cfg["t"], inst_seed)
     row = {
         "index": idx,
         "seed": inst_seed,
@@ -457,16 +394,52 @@ def _large_node_instance(args):
     return row, msgs
 
 
-def _run_large_node_audit(cfg, seed, threads):
+_INSTANCE_FNS: dict[str, Callable] = {
+    "hypercube-poa": _hypercube_instance,
+    "t2-tightness": _t2_tightness_instance,
+    "br-cycle": _br_cycle_instance,
+    "reduction-audit": _reduction_instance,
+    "random-ge-sweep": _ge_sweep_instance,
+    "freeze-relabel-audit": _freeze_instance,
+    "t2-existence-sweep": _t2_instance,
+    "large-node-audit": _large_node_instance,
+}
+
+
+def _instance_args(scenario: str, cfg: dict, seed: int) -> list[tuple]:
+    """(idx, inst_seed, cfg) of every instance in row order: the fixed
+    instances with no seed, then the seeded ones, each taking the next draw
+    of one generator seeded by `seed`."""
+    fixed, seeded = 0, cfg.get("instances", 0)
+    if scenario == "hypercube-poa":
+        fixed = len(cfg["dims"])
+    elif scenario == "t2-tightness":
+        fixed = len(cfg["n_values"])
+    elif scenario == "br-cycle":
+        fixed = 1
+    elif scenario == "t2-existence-sweep":
+        n = cfg["exhaustive_n"]
+        fixed, seeded = 1 << (n * (n - 1) // 2), cfg["random_instances"]
+    elif scenario == "large-node-audit":
+        seeded += len(cfg["below_arcs"])
     base = random.Random(seed)
-    args = []
-    for i in range(cfg["instances"]):
-        args.append((i, base.randrange(2**32), cfg["n"], cfg["arcs"], cfg["t"], True))
-    nxt = len(args)
-    for j, below in enumerate(cfg["below_arcs"]):
-        args.append((nxt + j, base.randrange(2**32), cfg["n"], below, cfg["t"], False))
-    rows, fals = _pmap(_large_node_instance, args, threads)
-    return rows, fals, {}
+    return [(i, None, cfg) for i in range(fixed)] + [
+        (fixed + j, base.randrange(2**32), cfg) for j in range(seeded)
+    ]
+
+
+def _summary_extra(scenario: str, rows: list[dict]) -> dict:
+    """Scenario-specific summary counts, derived from the rows."""
+    if scenario == "random-ge-sweep":
+        outcomes = [r["outcome"] for r in rows]
+        ge, cycles = outcomes.count(OUTCOME_GE), outcomes.count(OUTCOME_CYCLE)
+        return {"converged_ge": ge, "cycles": cycles, "other": len(rows) - ge - cycles}
+    if scenario == "freeze-relabel-audit":
+        return {"ges_verified": sum(1 for r in rows if r["converged"])}
+    if scenario == "t2-existence-sweep":
+        parts = [r["part"] for r in rows]
+        return {"exhaustive": parts.count("exhaustive"), "random": parts.count("random")}
+    return {}
 
 
 SCENARIO_DEFAULTS: dict[str, dict] = {
@@ -533,18 +506,26 @@ def _range_rules(scenario: str, cfg: dict) -> list[tuple[str, bool, str]]:
              f"must be <= {pairs}, the pair count of a host with n_min = {n_min} nodes"),
         ]
     if scenario == "t2-existence-sweep":
+        n_ex = cfg["exhaustive_n"]
         return [
-            ("exhaustive_n", cfg["exhaustive_n"] >= 1, "must be >= 1"),
+            ("exhaustive_n", n_ex >= 1, "must be >= 1"),
+            ("exhaustive_n", n_ex <= 6,
+             f"must be <= 6; it sweeps all 2^{n_ex * (n_ex - 1) // 2} hosts on {n_ex} nodes"),
             ("n_min", cfg["n_min"] >= 3, "must be >= 3, so that a host has room for labels 1 and 2"),
         ]
     if scenario == "large-node-audit":
         n = cfg["n"]
         full = n * (n - 1)
         most = f"must be <= {full}, the arc count of a complete directed graph on n = {n} nodes"
+        least = n + 1 + math.isqrt(max(6 * n**3 - 1, 0))
+        dense = f"{least}, the least arc count at or above sqrt(6)*n^1.5 + n at n = {n}"
         return [
             ("t", cfg["t"] >= 1, "must be >= 1"),
             ("arcs", cfg["arcs"] <= full, most),
+            ("arcs", not _dense_below_threshold(n, cfg["arcs"]), "must be >= " + dense),
             ("below_arcs", all(a <= full for a in cfg["below_arcs"]), "every entry " + most),
+            ("below_arcs", all(_dense_below_threshold(n, a) for a in cfg["below_arcs"]),
+             "every entry must be < " + dense),
         ]
     return []
 
@@ -573,18 +554,6 @@ def _check_config(scenario: str, cfg: dict) -> None:
             raise ValueError(f"config key {key!r} = {cfg[key]!r}: {requirement}")
 
 
-_RUNNERS = {
-    "hypercube-poa": _run_hypercube_poa,
-    "t2-tightness": _run_t2_tightness,
-    "br-cycle": _run_br_cycle,
-    "reduction-audit": _run_reduction_audit,
-    "random-ge-sweep": _run_random_ge_sweep,
-    "freeze-relabel-audit": _run_freeze_relabel_audit,
-    "t2-existence-sweep": _run_t2_existence_sweep,
-    "large-node-audit": _run_large_node_audit,
-}
-
-
 @dataclass
 class ExperimentResult:
     report: dict
@@ -609,8 +578,8 @@ def run_experiment(
     """Run one scenario and write <scenario>.report.json plus
     <scenario>.instances.csv under out_dir."""
     scenario = config.get("scenario")
-    if scenario not in _RUNNERS:
-        known = ", ".join(sorted(_RUNNERS))
+    if scenario not in _INSTANCE_FNS:
+        known = ", ".join(sorted(_INSTANCE_FNS))
         raise ValueError(f"unknown scenario {scenario!r}; known: {known}")
     cfg = dict(SCENARIO_DEFAULTS[scenario])
     seed = 0
@@ -624,7 +593,8 @@ def run_experiment(
             raise ValueError(f"unknown config key {key!r} for scenario {scenario}")
         cfg[key] = value
     _check_config(scenario, {"seed": seed, **cfg})
-    rows, fals, extra = _RUNNERS[scenario](cfg, seed, threads)
+    args = _instance_args(scenario, cfg, seed)
+    rows, fals = _pmap(_INSTANCE_FNS[scenario], args, threads)
     full_config = {"scenario": scenario, "seed": seed, **cfg}
     report = {
         "scenario": scenario,
@@ -636,7 +606,7 @@ def run_experiment(
             "instances": len(rows),
             "falsifications": len(fals),
             "pass": not fals,
-            **extra,
+            **_summary_extra(scenario, rows),
         },
         "instances": rows,
         "falsifications": fals,

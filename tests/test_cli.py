@@ -224,6 +224,9 @@ def test_experiment_subcommand(tmp_path, capsys):
         ("large-node-audit", ["below_arcs=[500, 1261]"], "below_arcs"),
         ("reduction-audit", ["k_min=1", "k_max=1"], "k_max"),
         ("reduction-audit", ["m_min=1", "m_max=1"], "m_max"),
+        ("large-node-audit", ["arcs=500", "instances=2"], "arcs"),
+        ("large-node-audit", ["below_arcs=[600]", "instances=1"], "below_arcs"),
+        ("t2-existence-sweep", ["exhaustive_n=7"], "exhaustive_n"),
     ],
 )
 def test_experiment_rejects_bad_config(tmp_path, capsys, scenario, settings, key):

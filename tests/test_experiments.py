@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -40,15 +41,70 @@ def test_scenario_passes_and_validates(scenario, tmp_path):
 
 
 def test_reports_are_byte_deterministic(tmp_path):
-    config = {"scenario": "random-ge-sweep", "seed": 11,
-              "instances": 6, "n_min": 4, "n_max": 6, "poa_budget": 2000}
-    a = run_experiment(dict(config), out_dir=tmp_path / "a")
-    b = run_experiment(dict(config), out_dir=tmp_path / "b")
-    assert a.json_path.read_bytes() == b.json_path.read_bytes()
-    assert a.csv_path.read_bytes() == b.csv_path.read_bytes()
-    c = run_experiment(dict(config), out_dir=tmp_path / "c", threads=2)
-    assert c.json_path.read_bytes() == a.json_path.read_bytes()
-    assert c.csv_path.read_bytes() == a.csv_path.read_bytes()
+    for scenario in sorted(TINY):
+        config = {"scenario": scenario, "seed": 11, **TINY[scenario]}
+        a = run_experiment(dict(config), out_dir=tmp_path / scenario / "a")
+        b = run_experiment(dict(config), out_dir=tmp_path / scenario / "b")
+        c = run_experiment(dict(config), out_dir=tmp_path / scenario / "c", threads=2)
+        for other in (b, c):
+            assert other.json_path.read_bytes() == a.json_path.read_bytes(), scenario
+            assert other.csv_path.read_bytes() == a.csv_path.read_bytes(), scenario
+
+
+# SHA-256 of the seed-0 reports at default config.  Any change to these bytes
+# is a change of results and must be deliberate.
+GOLDEN_SHA256 = {
+    "hypercube-poa": (
+        "7251aaf73068a15f5e383d51ae6bf115b0d44aa27bb3b41509a34a723f8e6770",
+        "00360802eddd5c6f41b93d2a82ed2abfc12758c2e34183fa3b9ae4b49ee568c2",
+    ),
+    "t2-tightness": (
+        "f04fb24ebabd13f1a64b21b03ad74977d1443b8edcd93041f6d795793de7833f",
+        "fcb27879b435050f3bfe5156df76bf6a015dbd1dd46a822fe9eca969d1c67155",
+    ),
+    "br-cycle": (
+        "adcc7ffaea1aadb07e2d73cc1a46d00c42e73168d2cc082e33db67f3b112cb7c",
+        "c5968152b681926afbe97b7024a70aff303977954c2344b5ada5715b6460eb4a",
+    ),
+    "reduction-audit": (
+        "cc1e0fbd0c35b1dec0326ccf49d681ff37e99bd0e0e26d727d07ae69bd1a4b2a",
+        "60413bf230be186ea87d2dcbb91a8f20e8e01acc5e932b521bd1d4ef31f14902",
+    ),
+    "random-ge-sweep": (
+        "296ade4f96f5f28f22fafc0e4a43ff7730de774248bda811fbec2a107226e54e",
+        "5d84e42b8cc66b0a1d83dbec630fbdc75d8f3a30ccb8860c6a203833a112338c",
+    ),
+    "freeze-relabel-audit": (
+        "02b7e73bd7bf60a77c5c60b5d74c413f33d9663096dafb037223119eaad0c50f",
+        "cfd9d4c35f6e1aaffead59e055d66c39e0fd286e5cebe66f72d8394d81ef4cf4",
+    ),
+    "t2-existence-sweep": (
+        "77d71e782a9553354e32572066c398bfb3967924d459834e5e39c95572fdf499",
+        "84e2c5379a721bf6fa0fd6e0b3cc12e9a9221b4d7c936f318078f2e72ee96055",
+    ),
+    "large-node-audit": (
+        "bc36d0f6fb257b053ee7ccab4400546845c16a94f228660f5a349581a0dc88b4",
+        "341472a0e41f77289e479b7ab4870e4b6514bf3be7457b92100b8281e06082bd",
+    ),
+}
+
+
+def test_seed0_default_reports_match_golden_digests(tmp_path):
+    assert set(GOLDEN_SHA256) == set(SCENARIO_DEFAULTS)
+    for scenario, (report_sha, csv_sha) in GOLDEN_SHA256.items():
+        result = run_experiment({"scenario": scenario, "seed": 0}, out_dir=tmp_path)
+        assert hashlib.sha256(result.json_path.read_bytes()).hexdigest() == report_sha, scenario
+        assert hashlib.sha256(result.csv_path.read_bytes()).hexdigest() == csv_sha, scenario
+
+
+def test_config_limits_name_their_reason(tmp_path):
+    with pytest.raises(ValueError, match=r"'exhaustive_n' = 7: .* 2\^21 hosts"):
+        run_experiment({"scenario": "t2-existence-sweep", "exhaustive_n": 7}, out_dir=tmp_path)
+    with pytest.raises(ValueError, match=r"'arcs' = 565: must be >= 566, .* at n = 36"):
+        run_experiment({"scenario": "large-node-audit", "arcs": 565}, out_dir=tmp_path)
+    with pytest.raises(ValueError, match=r"'below_arcs' = \[500, 566\]: every entry must be < 566"):
+        run_experiment({"scenario": "large-node-audit", "below_arcs": [500, 566]}, out_dir=tmp_path)
+    assert not list(tmp_path.iterdir())
 
 
 def test_seed_changes_the_digest_and_data(tmp_path):
