@@ -33,9 +33,9 @@ from .fileio import (
     save_profile,
     validate_files,
 )
-from .game import agent_cost, empty_profile, social_cost
+from .game import empty_profile, social_cost
 from .optimum import minimal_spanner, minimum_spanner, poa_ratio
-from .responses import DEFAULT_BUDGET, exact_best_response, greedy_best_response
+from .responses import DEFAULT_BUDGET, _AgentView
 
 
 def _emit(fmt: str, payload) -> None:
@@ -74,7 +74,7 @@ def _cmd_gen(args) -> int:
     elif args.family == "brcycle":
         host, profile, schedule = gen_br_cycle()
     elif args.family == "random":
-        host = gen_random_host(args.n, args.t, args.seed if args.seed is not None else 0)
+        host = gen_random_host(args.n, args.t, args.seed)
     elif args.family == "reduce-br":
         sc = load_setcover(args.setcover)
         host, profile, layout = gen_reduction_br(sc)
@@ -83,13 +83,10 @@ def _cmd_gen(args) -> int:
         host, profile, layout = gen_reduction_ne(sc)
     save_graph(host, args.output)
     files = {"host": args.output}
-    if args.profile:
-        if profile is None:
-            print(f"family {args.family} has no canonical profile", file=sys.stderr)
-            return 2
+    if getattr(args, "profile", None):
         save_profile(profile, args.profile)
         files["profile"] = args.profile
-    if schedule is not None and getattr(args, "schedule_out", None):
+    if schedule is not None and args.schedule_out:
         _write_schedule(args.schedule_out, schedule)
         files["schedule"] = args.schedule_out
     summary = {
@@ -123,15 +120,9 @@ def _cmd_check(args) -> int:
 def _cmd_br(args) -> int:
     host = load_host(args.host)
     profile = load_profile(args.profile, n=host.n)
-    before = agent_cost(host, profile, args.agent)
-    if args.exact:
-        strategy, cost = exact_best_response(host, profile, args.agent, budget_cap=args.budget)
-        rule = "exact"
-        improving = cost < before
-    else:
-        strategy, improving = greedy_best_response(host, profile, args.agent)
-        cost = agent_cost(host, profile.with_strategy(args.agent, strategy), args.agent)
-        rule = "greedy"
+    view = _AgentView(host, profile, args.agent)
+    rule = "exact" if args.exact else "greedy"
+    strategy, cost = view.best(rule, args.budget)
     _emit(
         args.format,
         {
@@ -139,8 +130,8 @@ def _cmd_br(args) -> int:
             "rule": rule,
             "strategy": sorted(strategy),
             "cost": cost.as_dict(host.n * host.n),
-            "cost_before": before.as_dict(host.n * host.n),
-            "improving": improving,
+            "cost_before": view.cur_cost.as_dict(host.n * host.n),
+            "improving": cost < view.cur_cost,
         },
     )
     return 0
@@ -168,7 +159,7 @@ def _cmd_dynamics(args) -> int:
         schedule=schedule,
         rule=args.rule,
         max_steps=args.max_steps,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
         budget_cap=args.budget,
     )
     if args.output:
@@ -250,7 +241,10 @@ def _parse_set(pairs: list[str]) -> dict:
 def _cmd_experiment(args) -> int:
     config: dict = {}
     if args.config:
-        config.update(json.loads(Path(args.config).read_text()))
+        loaded = json.loads(Path(args.config).read_text())
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
+        config.update(loaded)
     if args.scenario:
         config["scenario"] = args.scenario
     config.update(_parse_set(args.set or []))
@@ -285,9 +279,6 @@ def _cmd_validate(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="seed for randomized steps")
-    common.add_argument("--threads", type=int, default=1, help="worker processes")
-    common.add_argument("--out-dir", default=".", help="directory for report files")
     common.add_argument("--format", choices=["json", "csv"], default="json", help="stdout format")
 
     parser = argparse.ArgumentParser(prog="tncg", description=__doc__)
@@ -299,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, kw in extra_args.items():
             p.add_argument(flag, **kw)
         p.add_argument("-o", "--output", required=True, help="host file (.tg)")
-        p.add_argument("--profile", help="also write the profile (.tsp)")
+        if name != "random":
+            p.add_argument("--profile", help="also write the profile (.tsp)")
         if name == "brcycle":
             p.add_argument("--schedule-out", help="also write the cycling schedule")
         return p
@@ -312,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_gen_family(
         gsub,
         "random",
-        **{"--n": {"type": int, "required": True}, "--t": {"type": int, "required": True}},
+        **{"--n": {"type": int, "required": True}, "--t": {"type": int, "required": True},
+           "--seed": {"type": int, "default": 0}},
     )
     add_gen_family(gsub, "reduce-br", **{"--setcover": {"required": True}})
     add_gen_family(gsub, "reduce-ne", **{"--setcover": {"required": True}})
@@ -335,9 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", required=True)
     p.add_argument("--profile", required=True)
     p.add_argument("--agent", type=int, required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--exact", action="store_true")
-    group.add_argument("--greedy", action="store_true")
+    p.add_argument("--exact", action="store_true", help="exact instead of greedy")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("dynamics", parents=[common], help="improving-response dynamics")
@@ -346,14 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", default="round-robin", help="round-robin | random | file:PATH")
     p.add_argument("--rule", choices=["greedy", "exact"], default="greedy")
     p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0, help="seed of the random schedule")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("-o", "--output", help="write full trace JSON here")
 
     p = sub.add_parser("spanner", parents=[common], help="temporal spanner optima")
     p.add_argument("--host", required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--exact", action="store_true")
-    group.add_argument("--minimal", action="store_true")
+    p.add_argument("--exact", action="store_true", help="minimum instead of minimal")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("-o", "--output", help="write the spanner (.tg)")
 
@@ -367,6 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", choices=sorted(SCENARIO_DEFAULTS))
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
+    p.add_argument("--seed", type=int, help="config seed")
+    p.add_argument("--threads", type=int, default=1, help="worker processes")
+    p.add_argument("--out-dir", default=".", help="directory for report files")
 
     p = sub.add_parser("validate", parents=[common], help="check input files")
     p.add_argument("files", nargs="*")

@@ -106,10 +106,7 @@ def trace_from_dict(data: dict) -> DynamicsTrace:
 def _try_move(host, profile, v, rule, budget_cap):
     """(new_strategy, cost_before, cost_after) when v improves, else None."""
     view = _AgentView(host, profile, v)
-    if rule == "greedy":
-        strategy, cost = view.greedy()
-    else:
-        strategy, cost = view.exact(budget_cap)
+    strategy, cost = view.best(rule, budget_cap)
     if not (cost < view.cur_cost):
         return None
     return strategy, view.cur_cost, cost
@@ -164,47 +161,26 @@ def run_dynamics(
     seen: dict[tuple, int] = {profile.canonical(): 0}
     rng = random.Random(seed)
     quiet = 0
-    rr_next = 0
-    explicit_pos = 0
-
-    def next_agent() -> Optional[int]:
-        nonlocal rr_next, explicit_pos
-        if explicit is not None:
-            if explicit_pos >= len(explicit):
-                return None
-            v = explicit[explicit_pos]
-            explicit_pos += 1
-            return v
-        if schedule_name == "round-robin":
-            v = rr_next
-            rr_next = (rr_next + 1) % n
-            return v
-        return rng.randrange(n)
-
     while True:
-        if explicit is None and quiet >= n:
-            if schedule_name == "round-robin":
-                trace.outcome = converged_outcome
-                break
-            # random schedule: confirm quiescence with a deterministic sweep
-            for v in range(n):
-                trace.activations += 1
-                attempt = _try_move(host, profile, v, rule, budget_cap)
-                if attempt is not None:
-                    break
-            if attempt is None:
-                trace.outcome = converged_outcome
-                break
-        else:
-            v = next_agent()
-            if v is None:
+        if explicit is not None:
+            if trace.activations == len(explicit):
                 trace.outcome = OUTCOME_CAP
                 break
-            trace.activations += 1
-            attempt = _try_move(host, profile, v, rule, budget_cap)
-            if attempt is None:
-                quiet += 1
-                continue
+            v = explicit[trace.activations]
+        elif quiet >= (n if schedule_name == "round-robin" else 2 * n):
+            trace.outcome = converged_outcome
+            break
+        elif schedule_name == "round-robin":
+            v = trace.activations % n
+        elif quiet >= n:
+            v = quiet - n               # random schedule: the confirming sweep
+        else:
+            v = rng.randrange(n)
+        trace.activations += 1
+        attempt = _try_move(host, profile, v, rule, budget_cap)
+        if attempt is None:
+            quiet += 1
+            continue
         strategy, before, after = attempt
         old = tuple(sorted(profile.strategies[v]))
         profile = profile.with_strategy(v, strategy)

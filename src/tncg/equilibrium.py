@@ -1,10 +1,11 @@
 """Equilibrium verification and structural audits.
 
 check_ge / check_ne decide stability against single-edge moves and arbitrary
-strategy changes respectively.  The remaining operations are detectors for
-structural facts about equilibria: necessary sets, the five-node forbidden
-configuration, the dense-graph large-node witness, edge-count bounds, and the
-relabeling that turns any greedy equilibrium into a Nash equilibrium.
+strategy changes respectively, in one search whose agent views the audit
+reuses.  The remaining operations are detectors for structural facts about
+equilibria: necessary sets, the five-node forbidden configuration, the
+dense-graph large-node witness, edge-count bounds, and the relabeling that
+turns any greedy equilibrium into a Nash equilibrium.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional
 from .core import TemporalGraph, mask_to_set, norm_pair
 from .errors import PreconditionViolated
 from .game import CostVector, DirectedTemporalGraph, StrategyProfile, _agent_costs, _labelled_arcs
-from .responses import DEFAULT_BUDGET, _AgentView, exact_best_response, greedy_best_response
+from .responses import DEFAULT_BUDGET, _AgentView
 
 
 @dataclass(frozen=True)
@@ -119,25 +120,9 @@ class EquilibriumReport:
 def check_ge(
     host: TemporalGraph, profile: StrategyProfile, audit: bool = False
 ) -> EquilibriumReport:
-    """Stable iff no agent has an improving single-arc addition or deletion.
-
-    The witness is the first improving agent in ascending order, with its
-    best greedy move.
-    """
-    costs = _agent_costs(host, profile)
-    witness = None
-    for v in range(host.n):
-        strategy, improved = greedy_best_response(host, profile, v)
-        if improved:
-            witness = (v, tuple(sorted(strategy)))
-            break
-    return EquilibriumReport(
-        mode="ge",
-        stable=witness is None,
-        witness=witness,
-        agent_costs=tuple(costs),
-        audit=audit_profile(host, profile) if audit else None,
-    )
+    """Stable iff no agent has an improving single-arc addition or deletion;
+    the witness is the first improving agent with its best greedy move."""
+    return _check(host, profile, "greedy", DEFAULT_BUDGET, audit)
 
 
 def check_ne(
@@ -147,32 +132,39 @@ def check_ne(
     audit: bool = False,
 ) -> EquilibriumReport:
     """Stable iff no agent has any improving strategy (exact best responses)."""
+    return _check(host, profile, "exact", budget_cap, audit)
+
+
+def _check(
+    host: TemporalGraph, profile: StrategyProfile, rule: str, budget_cap: int, audit: bool
+) -> EquilibriumReport:
+    """The witness is the first improving agent in ascending order, with its
+    best move under rule; the audit reuses the views the search built."""
     costs = _agent_costs(host, profile)
+    views: dict[int, _AgentView] = {}
     witness = None
     for v in range(host.n):
-        strategy, cost = exact_best_response(host, profile, v, budget_cap=budget_cap)
-        if cost < costs[v]:
+        view = views[v] = _AgentView(host, profile, v)
+        strategy, cost = view.best(rule, budget_cap)
+        if cost < view.cur_cost:
             witness = (v, tuple(sorted(strategy)))
             break
     return EquilibriumReport(
-        mode="ne",
+        mode="ge" if rule == "greedy" else "ne",
         stable=witness is None,
         witness=witness,
         agent_costs=tuple(costs),
-        audit=audit_profile(host, profile) if audit else None,
+        audit=_audit(host, profile, views) if audit else None,
     )
 
 
-def _owner_necessary_masks(
-    host: TemporalGraph, profile: StrategyProfile, u: int
-) -> dict[int, int]:
-    """Necessary-set mask of every arc (u, w) bought by u, keyed by w.
+def _owner_necessary_masks(view: _AgentView) -> dict[int, int]:
+    """Necessary-set mask of each arc (u, w) the view's agent u buys, keyed by w.
 
     Without the arc, u reaches its base and in-neighbor covers plus the
     covers of its other endpoints; an antiparallel twin puts cover[w] into
     the in-neighbor covers, so its arc's set comes out empty.
     """
-    view = _AgentView(host, profile, u)
     fixed = view.base | view.in_mask
     out = {}
     for w in view.current:
@@ -194,19 +186,20 @@ def necessary_set(
     """
     if w not in profile.strategies[u]:
         raise ValueError(f"arc ({u}, {w}) is not present in the profile")
-    return mask_to_set(_owner_necessary_masks(host, profile, u)[w])
+    return mask_to_set(_owner_necessary_masks(_AgentView(host, profile, u))[w])
 
 
 def _necessary_masks(
-    host: TemporalGraph, profile: StrategyProfile
+    host: TemporalGraph, profile: StrategyProfile, views: dict[int, _AgentView]
 ) -> dict[tuple[int, int], int]:
+    """Every arc's necessary-set mask; builds the owner views missing from views."""
     # _labelled_arcs checks the profile against the host before any agent
     # of the profile is indexed
     owners = sorted({v for v, _, _ in _labelled_arcs(host, profile)})
     return {
         (u, w): mask
         for u in owners
-        for w, mask in _owner_necessary_masks(host, profile, u).items()
+        for w, mask in _owner_necessary_masks(views.get(u) or _AgentView(host, profile, u)).items()
     }
 
 
@@ -222,7 +215,7 @@ def find_forbidden_structure(
     two distinct targets x != y.  Returns the first witness in ascending scan
     order, or None; a None on every input is the expected outcome.
     """
-    return _find_forbidden(host, profile, _necessary_masks(host, profile))
+    return _find_forbidden(host, profile, _necessary_masks(host, profile, {}))
 
 
 def _find_forbidden(
@@ -408,7 +401,13 @@ def audit_edge_bounds(host: TemporalGraph, profile: StrategyProfile) -> BoundsRe
 
 
 def audit_profile(host: TemporalGraph, profile: StrategyProfile) -> ProfileAudit:
-    masks = _necessary_masks(host, profile)
+    return _audit(host, profile, {})
+
+
+def _audit(
+    host: TemporalGraph, profile: StrategyProfile, views: dict[int, _AgentView]
+) -> ProfileAudit:
+    masks = _necessary_masks(host, profile, views)
     return ProfileAudit(
         antiparallel_free=not any(v in profile.strategies[w] for v, w in profile.arcs()),
         bounds=audit_edge_bounds(host, profile),

@@ -59,7 +59,8 @@ def _pmap(fn: Callable, args_list: list, threads: int) -> tuple[list[dict], list
     """
     if threads > 1 and len(args_list) > 1:
         with ProcessPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(fn, args_list, chunksize=1))
+            chunk = -(-len(args_list) // (4 * threads))
+            results = list(ex.map(fn, args_list, chunksize=chunk))
     else:
         results = [fn(a) for a in args_list]
     rows = [row for row, _ in results]
@@ -577,6 +578,8 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one scenario and write <scenario>.report.json plus
     <scenario>.instances.csv under out_dir."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     scenario = config.get("scenario")
     if scenario not in _INSTANCE_FNS:
         known = ", ".join(sorted(_INSTANCE_FNS))

@@ -14,11 +14,11 @@ cover over fixed candidate masks.  All n-1 covers come from one reach sweep
 over the created graph's label classes without v, each endpoint w read off
 at its own start label({v, w}); no graph object is built.
 
-The view is the one place that evaluates an agent: dynamics takes move costs
-from it, the equilibrium checks run its searches, and the structural audit
-reads necessary sets off its covers.  The audits take the created graph's
-pairs and labels straight from the profile and the host, so no check or
-audit builds a graph.
+The view is the one place that evaluates an agent, and `best` the one place
+that maps a rule to its search: dynamics, `tncg br` and the equilibrium
+checks call it, and the structural audit reads necessary sets off its
+covers.  The audits take the created graph's pairs and labels straight from
+the profile and the host, so no check or audit builds a graph.
 """
 
 from __future__ import annotations
@@ -85,6 +85,10 @@ class _AgentView:
         if best is None:
             return self.current, best_cost
         return frozenset(best), best_cost
+
+    def best(self, rule: str, budget_cap: int) -> tuple[frozenset[int], CostVector]:
+        """The best strategy under rule ("greedy" or "exact") and its cost."""
+        return self.greedy() if rule == "greedy" else self.exact(budget_cap)
 
     def exact(self, budget_cap: int) -> tuple[frozenset[int], CostVector]:
         """Cost-minimal strategy and its cost; see exact_best_response."""

@@ -241,6 +241,52 @@ def test_experiment_rejects_bad_config(tmp_path, capsys, scenario, settings, key
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--profile", "P", "--threads", "7"],
+    ["check", "--profile", "P", "--out-dir", "/nonexistent"],
+    ["check", "--profile", "P", "--seed", "4"],
+    ["br", "--profile", "P", "--agent", "0", "--greedy"],
+    ["spanner", "--minimal"],
+])
+def test_flags_only_where_read(tmp_path, capsys, argv):
+    host = tmp_path / "h.tg"
+    prof = tmp_path / "p.tsp"
+    run(capsys, "gen", "hypercube", "--dim", "3", "-o", str(host), "--profile", str(prof))
+    with pytest.raises(SystemExit) as exc:
+        main([str(prof) if a == "P" else a for a in argv] + ["--host", str(host)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_experiment_rejects_threads_below_one(tmp_path, capsys, threads):
+    code, out, err = run(capsys, "experiment", "--scenario", "hypercube-poa",
+                         "--threads", threads, "--out-dir", str(tmp_path))
+    assert code == 2 and out == ""
+    assert "threads" in one_error_line(err)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("content", ['[["scenario", "br-cycle"]]', "[1, 2]", '"br-cycle"'])
+def test_experiment_config_must_be_an_object(tmp_path, capsys, content):
+    config = tmp_path / "f.json"
+    config.write_text(content)
+    code, out, err = run(capsys, "experiment", "--config", str(config),
+                         "--out-dir", str(tmp_path))
+    assert code == 2 and out == ""
+    assert str(config) in one_error_line(err)
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def test_gen_random_profile_request_writes_nothing(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "random", "--n", "5", "--t", "3", "-o", str(tmp_path / "r.tg"),
+              "--profile", str(tmp_path / "r.tsp")])
+    assert exc.value.code == 2
+    assert "--profile" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_validate_exit_codes(tmp_path, capsys):
     good = tmp_path / "g.tg"
     good.write_text("2 1\n0 1 1\n")

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -160,3 +162,35 @@ def test_replay_rejects_tampered_trace():
     data["moves"][0]["old"] = [0]
     with pytest.raises(ValueError):
         replay(trace_from_dict(data))
+
+
+def _pinned_traces():
+    """Traces over every schedule kind, both rules, empty and random starts,
+    with and without a step cap; the br-cycle gadget adds cycling runs."""
+    rng = random.Random(904)
+    hosts = [gen_random_host(n, t, rng.randrange(10**6))
+             for n, t in [(4, 1), (5, 2), (6, 3), (7, 2), (8, 4), (6, 6)]]
+    cases = [(host, start) for host in hosts
+             for start in (StrategyProfile(host.n, [set()] * host.n),
+                           gen_random_profile(host, 2 * host.n, rng.randrange(10**6)))]
+    cycle_host, cycle_profile, cycle_schedule = gen_br_cycle()
+    cases.append((cycle_host, cycle_profile))
+    for host, start in cases:
+        explicit = cycle_schedule * 3 if host is cycle_host else [
+            rng.randrange(host.n) for _ in range(3 * host.n)]
+        for schedule in ("round-robin", "random", explicit):
+            for seed in ((0, 1, 2) if schedule == "random" else (0,)):
+                for rule in ("greedy", "exact"):
+                    for cap in (None, 3):
+                        yield run_dynamics(host, start, schedule=schedule, rule=rule,
+                                           max_steps=cap, seed=seed)
+
+
+def test_traces_match_golden_digest():
+    digest = hashlib.sha256()
+    outcomes = set()
+    for trace in _pinned_traces():
+        digest.update(json.dumps(trace.as_dict(), sort_keys=True).encode() + b"\n")
+        outcomes.add(trace.outcome)
+    assert outcomes == {OUTCOME_CAP, OUTCOME_CYCLE, OUTCOME_GE, OUTCOME_NE}
+    assert digest.hexdigest() == "0130650443fe68b64281abd402b64d986c7f4437c698330e31b1a47e4a96bd2c"

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from tncg import (
+    OUTCOME_GE,
+    OUTCOME_NE,
     DirectedTemporalGraph,
     PreconditionViolated,
     SearchSpaceExceeded,
@@ -27,6 +29,7 @@ from tncg import (
     run_dynamics,
     verify_large_node,
 )
+from tncg.core import reach_evaluations, reset_reach_evaluations
 from tncg.equilibrium import _ceil_sqrt_over, _dense_below_threshold, _find_forbidden
 
 from oracles import brute_created_graph, brute_reach
@@ -237,6 +240,24 @@ def test_audits_build_no_graph(monkeypatch):
     assert builds == []
     frozen = freeze_relabel(host, profile)
     assert builds == [frozen]
+
+
+def test_audited_check_builds_each_view_once():
+    """A stable audited check makes one sweep for the agent costs and one per
+    agent view; the audit reads its necessary sets off those same views."""
+    host = gen_random_host(8, 4, 4242)
+    ge = run_dynamics(host, empty_profile(8), rule="greedy")
+    ne = run_dynamics(host, empty_profile(8), rule="exact")
+    assert (ge.outcome, ne.outcome) == (OUTCOME_GE, OUTCOME_NE)
+    cases = [(check, *family) for family in (gen_t2_family(7), gen_hypercube(3))
+             for check in (check_ge, check_ne)]
+    cases += [(check_ge, host, final_profile(ge)), (check_ne, host, final_profile(ne))]
+    for check, h, profile in cases:
+        assert profile.arc_count > 0
+        reset_reach_evaluations()
+        report = check(h, profile, audit=True)
+        assert report.stable and report.audit.ok
+        assert reach_evaluations() == h.n + 1, (check.__name__, h.n)
 
 
 def test_dense_threshold_exact_arithmetic():
