@@ -33,7 +33,7 @@ from .fileio import (
     save_profile,
     validate_files,
 )
-from .game import empty_profile, social_cost
+from .game import _CreatedState, empty_profile, social_cost
 from .optimum import minimal_spanner, minimum_spanner, poa_ratio
 from .responses import DEFAULT_BUDGET, _AgentView
 
@@ -120,7 +120,7 @@ def _cmd_check(args) -> int:
 def _cmd_br(args) -> int:
     host = load_host(args.host)
     profile = load_profile(args.profile, n=host.n)
-    view = _AgentView(host, profile, args.agent)
+    view = _AgentView(_CreatedState(host, profile), args.agent)
     rule = "exact" if args.exact else "greedy"
     strategy, cost = view.best(rule, args.budget)
     _emit(

@@ -41,11 +41,11 @@ class TemporalGraph:
     """Immutable undirected graph with one integer label per edge.
 
     `edges` maps normalized pairs (u, v) with u < v to labels >= 1.  It is a
-    read-only view, because the edges grouped by label are cached lazily and
-    would go stale if the edges changed.
+    read-only view, because the edges grouped by label and the label table
+    are cached lazily and would go stale if the edges changed.
     """
 
-    __slots__ = ("n", "edges", "_edges", "_classes")
+    __slots__ = ("n", "edges", "_classes", "_rows")
 
     def __init__(self, n: int, edges: Mapping[tuple[int, int], int]):
         if n < 1:
@@ -61,11 +61,9 @@ class TemporalGraph:
                 raise ValueError(f"edge {p} given conflicting labels")
             norm[p] = label
         self.n = n
-        # label lookups sit on the best-response hot path and read the
-        # dict directly; a read-only view's .get takes about twice as long
-        self._edges = norm
         self.edges = MappingProxyType(norm)
         self._classes: list[tuple[int, list[Pair]]] | None = None
+        self._rows: list[list[int]] | None = None
 
     @property
     def edge_count(self) -> int:
@@ -77,10 +75,10 @@ class TemporalGraph:
         return max(self.edges.values(), default=0)
 
     def label(self, u: int, v: int) -> int | None:
-        return self._edges.get(norm_pair(u, v))
+        return self.edges.get(norm_pair(u, v))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return norm_pair(u, v) in self._edges
+        return norm_pair(u, v) in self.edges
 
     def is_complete(self) -> bool:
         return len(self.edges) == self.n * (self.n - 1) // 2
@@ -133,10 +131,19 @@ class TemporalGraph:
         """(label, pairs) per label present, ascending label, pairs ascending."""
         if self._classes is None:
             by_label: dict[int, list[Pair]] = {}
-            for p, label in sorted(self._edges.items()):
+            for p, label in sorted(self.edges.items()):
                 by_label.setdefault(label, []).append(p)
             self._classes = sorted(by_label.items())
         return self._classes
+
+    def _label_rows(self) -> list[list[int]]:
+        """n x n table: rows[u][v] is the label of {u, v}, 0 where no edge."""
+        if self._rows is None:
+            rows = [[0] * self.n for _ in range(self.n)]
+            for (u, v), label in self.edges.items():
+                rows[u][v] = rows[v][u] = label
+            self._rows = rows
+        return self._rows
 
     def reach_mask(self, u: int, start_label: int = 1) -> int:
         """Bitmask of nodes temporally reachable from u.

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import TemporalGraph
-from .game import CostVector, StrategyProfile
-from .responses import DEFAULT_BUDGET, _AgentView
+from .game import CostVector, StrategyProfile, _CreatedState
+from .responses import DEFAULT_BUDGET, _AgentView, _check_budget
 
 OUTCOME_GE = "converged-GE"
 OUTCOME_NE = "converged-NE"
@@ -103,15 +103,6 @@ def trace_from_dict(data: dict) -> DynamicsTrace:
     return trace
 
 
-def _try_move(host, profile, v, rule, budget_cap):
-    """(new_strategy, cost_before, cost_after) when v improves, else None."""
-    view = _AgentView(host, profile, v)
-    strategy, cost = view.best(rule, budget_cap)
-    if not (cost < view.cur_cost):
-        return None
-    return strategy, view.cur_cost, cost
-
-
 def run_dynamics(
     host: TemporalGraph,
     profile: StrategyProfile,
@@ -128,11 +119,14 @@ def run_dynamics(
     no improving agent; after n consecutive quiet random activations a
     deterministic sweep confirms it.  Explicit schedules are replay tools:
     exhausting one ends the run with the step-cap outcome.  max_steps caps
-    applied moves (default 10 * n^2); a cap below 1 raises ValueError.
+    applied moves (default 10 * n^2); a cap below 1 raises ValueError, as
+    does budget_cap < 0.  One created-graph state, patched per move, serves
+    the whole run.
     """
     n = host.n
     if max_steps is not None and max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    _check_budget(budget_cap)
     if rule not in ("greedy", "exact"):
         raise ValueError(f"unknown rule {rule!r}")
     if max_steps is None:
@@ -149,16 +143,18 @@ def run_dynamics(
                 raise ValueError(f"scheduled agent {v} out of range")
         schedule_name = "explicit"
 
+    state = _CreatedState(host, profile)
+    key = profile.canonical()
     trace = DynamicsTrace(
         n=n,
         rule=rule,
         schedule=schedule_name,
         seed=seed,
         max_steps=max_steps,
-        initial=profile.canonical(),
+        initial=key,
     )
     converged_outcome = OUTCOME_GE if rule == "greedy" else OUTCOME_NE
-    seen: dict[tuple, int] = {profile.canonical(): 0}
+    seen: dict[tuple, int] = {key: 0}
     rng = random.Random(seed)
     quiet = 0
     while True:
@@ -177,25 +173,17 @@ def run_dynamics(
         else:
             v = rng.randrange(n)
         trace.activations += 1
-        attempt = _try_move(host, profile, v, rule, budget_cap)
-        if attempt is None:
+        view = _AgentView(state, v)
+        strategy, cost = view.best(rule, budget_cap)
+        if not (cost < view.cur_cost):
             quiet += 1
             continue
-        strategy, before, after = attempt
-        old = tuple(sorted(profile.strategies[v]))
-        profile = profile.with_strategy(v, strategy)
-        trace.moves.append(
-            Move(
-                step=len(trace.moves) + 1,
-                agent=v,
-                old=old,
-                new=tuple(sorted(strategy)),
-                cost_before=before,
-                cost_after=after,
-            )
-        )
+        state.move(v, strategy)
+        new = tuple(sorted(strategy))
+        trace.moves.append(Move(step=len(trace.moves) + 1, agent=v, old=key[v], new=new,
+                                cost_before=view.cur_cost, cost_after=cost))
         quiet = 0
-        key = profile.canonical()
+        key = key[:v] + (new,) + key[v + 1:]
         if key in seen:
             trace.outcome = OUTCOME_CYCLE
             trace.entry = seen[key]
@@ -206,7 +194,7 @@ def run_dynamics(
             trace.outcome = OUTCOME_CAP
             break
 
-    trace.final = profile.canonical()
+    trace.final = key
     return trace
 
 

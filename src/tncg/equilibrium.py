@@ -16,7 +16,8 @@ from typing import Optional
 
 from .core import TemporalGraph, mask_to_set, norm_pair
 from .errors import PreconditionViolated
-from .game import CostVector, DirectedTemporalGraph, StrategyProfile, _agent_costs, _labelled_arcs
+from .game import CostVector, DirectedTemporalGraph, StrategyProfile
+from .game import _agent_costs, _CreatedState, _labelled_arcs
 from .responses import DEFAULT_BUDGET, _AgentView
 
 
@@ -131,7 +132,8 @@ def check_ne(
     budget_cap: int = DEFAULT_BUDGET,
     audit: bool = False,
 ) -> EquilibriumReport:
-    """Stable iff no agent has any improving strategy (exact best responses)."""
+    """Stable iff no agent has any improving strategy (exact best responses);
+    budget_cap < 0 raises ValueError."""
     return _check(host, profile, "exact", budget_cap, audit)
 
 
@@ -139,12 +141,14 @@ def _check(
     host: TemporalGraph, profile: StrategyProfile, rule: str, budget_cap: int, audit: bool
 ) -> EquilibriumReport:
     """The witness is the first improving agent in ascending order, with its
-    best move under rule; the audit reuses the views the search built."""
-    costs = _agent_costs(host, profile)
+    best move under rule; all views share one created-graph state, and the
+    audit reuses the views the search built."""
+    state = _CreatedState(host, profile)
+    costs = _agent_costs(state)
     views: dict[int, _AgentView] = {}
     witness = None
     for v in range(host.n):
-        view = views[v] = _AgentView(host, profile, v)
+        view = views[v] = _AgentView(state, v)
         strategy, cost = view.best(rule, budget_cap)
         if cost < view.cur_cost:
             witness = (v, tuple(sorted(strategy)))
@@ -154,7 +158,7 @@ def _check(
         stable=witness is None,
         witness=witness,
         agent_costs=tuple(costs),
-        audit=_audit(host, profile, views) if audit else None,
+        audit=_audit(host, profile, state, views) if audit else None,
     )
 
 
@@ -186,20 +190,16 @@ def necessary_set(
     """
     if w not in profile.strategies[u]:
         raise ValueError(f"arc ({u}, {w}) is not present in the profile")
-    return mask_to_set(_owner_necessary_masks(_AgentView(host, profile, u))[w])
+    return mask_to_set(_owner_necessary_masks(_AgentView(_CreatedState(host, profile), u))[w])
 
 
-def _necessary_masks(
-    host: TemporalGraph, profile: StrategyProfile, views: dict[int, _AgentView]
-) -> dict[tuple[int, int], int]:
+def _necessary_masks(state: _CreatedState, views: dict) -> dict[tuple[int, int], int]:
     """Every arc's necessary-set mask; builds the owner views missing from views."""
-    # _labelled_arcs checks the profile against the host before any agent
-    # of the profile is indexed
-    owners = sorted({v for v, _, _ in _labelled_arcs(host, profile)})
     return {
         (u, w): mask
-        for u in owners
-        for w, mask in _owner_necessary_masks(views.get(u) or _AgentView(host, profile, u)).items()
+        for u in range(state.n)
+        if state.strategies[u]
+        for w, mask in _owner_necessary_masks(views.get(u) or _AgentView(state, u)).items()
     }
 
 
@@ -215,31 +215,28 @@ def find_forbidden_structure(
     two distinct targets x != y.  Returns the first witness in ascending scan
     order, or None; a None on every input is the expected outcome.
     """
-    return _find_forbidden(host, profile, _necessary_masks(host, profile, {}))
+    state = _CreatedState(host, profile)
+    return _find_forbidden(state, _necessary_masks(state, {}))
 
 
 def _find_forbidden(
-    host: TemporalGraph, profile: StrategyProfile, a_masks: dict[tuple[int, int], int]
+    state: _CreatedState, a_masks: dict[tuple[int, int], int]
 ) -> Optional[ForbiddenStructure]:
-    neighbor_sets: list[set[int]] = [set() for _ in range(host.n)]
-    for v, w, _ in _labelled_arcs(host, profile):
-        neighbor_sets[v].add(w)
-        neighbor_sets[w].add(v)
-    for z in range(host.n):
-        nbrs = sorted(neighbor_sets[z])
+    rows = state.rows
+    for z in range(state.n):
+        nbrs = sorted(state.strategies[z] | state.buyers[z])
         if len(nbrs) < 2:
             continue
         # per neighbor u: arcs owned by u, excluding the {z,u} pair, with
         # label >= label({z,u}) and a non-empty necessary set
         cand: dict[int, list[tuple[tuple[int, int], int]]] = {}
         for u in nbrs:
-            zu_label = host.label(z, u)
             lst = []
-            for w in sorted(profile.strategies[u]):
+            for w in sorted(state.strategies[u]):
                 if w == z:
                     continue
                 arc = (u, w)
-                if host.label(u, w) >= zu_label and a_masks[arc]:
+                if rows[u][w] >= rows[z][u] and a_masks[arc]:
                     lst.append((arc, a_masks[arc]))
             cand[u] = lst
         for u1 in nbrs:
@@ -401,18 +398,18 @@ def audit_edge_bounds(host: TemporalGraph, profile: StrategyProfile) -> BoundsRe
 
 
 def audit_profile(host: TemporalGraph, profile: StrategyProfile) -> ProfileAudit:
-    return _audit(host, profile, {})
+    return _audit(host, profile, _CreatedState(host, profile), {})
 
 
 def _audit(
-    host: TemporalGraph, profile: StrategyProfile, views: dict[int, _AgentView]
+    host: TemporalGraph, profile: StrategyProfile, state: _CreatedState, views: dict
 ) -> ProfileAudit:
-    masks = _necessary_masks(host, profile, views)
+    masks = _necessary_masks(state, views)
     return ProfileAudit(
         antiparallel_free=not any(v in profile.strategies[w] for v, w in profile.arcs()),
         bounds=audit_edge_bounds(host, profile),
         necessary_ok=all(masks.values()),
-        forbidden=_find_forbidden(host, profile, masks),
+        forbidden=_find_forbidden(state, masks),
     )
 
 

@@ -61,25 +61,19 @@ class StrategyProfile:
             seq = list(strategies)
             if len(seq) != n:
                 raise ValueError(f"expected {n} strategies, got {len(seq)}")
-        built = []
-        for v, s in enumerate(seq):
-            fs = frozenset(s)
-            for w in fs:
-                if not (0 <= w < n):
-                    raise ValueError(f"agent {v}: endpoint {w} out of range")
-            if v in fs:
-                raise ValueError(f"agent {v} buys an arc to itself")
-            built.append(fs)
+        self.strategies = tuple(_checked_strategy(n, v, s) for v, s in enumerate(seq))
         self.n = n
-        self.strategies = tuple(built)
 
     def __getitem__(self, v: int) -> frozenset[int]:
         return self.strategies[v]
 
     def with_strategy(self, v: int, s: Iterable[int]) -> "StrategyProfile":
+        """The profile with S_v replaced; only the new strategy is validated."""
         seq = list(self.strategies)
-        seq[v] = frozenset(s)
-        return StrategyProfile(self.n, seq)
+        seq[v] = _checked_strategy(self.n, v, s)
+        out = object.__new__(StrategyProfile)
+        out.n, out.strategies = self.n, tuple(seq)
+        return out
 
     def arcs(self) -> list[tuple[int, int]]:
         """All bought arcs (owner, endpoint), ascending."""
@@ -105,6 +99,16 @@ class StrategyProfile:
 
     def __repr__(self):
         return f"StrategyProfile(n={self.n}, arcs={self.arc_count})"
+
+
+def _checked_strategy(n: int, v: int, s: Iterable[int]) -> frozenset[int]:
+    fs = frozenset(s)
+    for w in fs:
+        if not (0 <= w < n):
+            raise ValueError(f"agent {v}: endpoint {w} out of range")
+    if v in fs:
+        raise ValueError(f"agent {v} buys an arc to itself")
+    return fs
 
 
 def empty_profile(n: int) -> StrategyProfile:
@@ -140,10 +144,11 @@ def _labelled_arcs(host: TemporalGraph, profile: StrategyProfile):
     """(v, w, label) per bought arc, labels from the host."""
     if profile.n != host.n:
         raise ValueError(f"profile n={profile.n} does not match host n={host.n}")
+    rows = host._label_rows()
     for v in range(profile.n):
         for w in profile.strategies[v]:
-            label = host.label(v, w)
-            if label is None:
+            label = rows[v][w]
+            if not label:
                 raise ValueError(f"arc ({v}, {w}) has no host pair")
             yield v, w, label
 
@@ -154,35 +159,98 @@ def created_graph(host: TemporalGraph, profile: StrategyProfile) -> DirectedTemp
     return DirectedTemporalGraph(host.n, {(v, w): label for v, w, label in arcs})
 
 
-def _arc_classes(
-    host: TemporalGraph, profile: StrategyProfile, skip: int | None = None
-) -> list[tuple[int, list[tuple[int, int]]]]:
-    """The created graph's pairs by host label, ascending, as `core._reach_sweep`
-    reads them; each pair once, and none at agent `skip` (the graph G - skip).
+class _CreatedState:
+    """A profile's created graph kept for repeated evaluation: its pairs
+    grouped by host label, each pair once even when both arcs are bought.
+
+    A move patches only the moving agent's changed arcs.  buyers[x] holds the
+    agents that buy an arc to x, so x's pairs, and the classes that the
+    graph G - x filters, are read off S_x and buyers[x].  Each agent's
+    endpoints grouped by start label are cached on first use.
     """
-    by_label: dict[int, list[tuple[int, int]]] = {}
-    for v, w, label in _labelled_arcs(host, profile):
-        if skip not in (v, w) and not (w < v and v in profile.strategies[w]):
-            by_label.setdefault(label, []).append((v, w))
-    return sorted(by_label.items())
+
+    __slots__ = ("n", "rows", "strategies", "buyers", "pairs", "_sorted", "_starts")
+
+    def __init__(self, host: TemporalGraph, profile: StrategyProfile):
+        n = self.n = host.n
+        self.rows = host._label_rows()
+        self.strategies = list(profile.strategies)
+        self.buyers: list[set[int]] = [set() for _ in range(n)]
+        self.pairs: dict[int, dict[tuple[int, int], None]] = {}
+        self._sorted: list | None = None
+        self._starts: list[dict[int, list[int]] | None] = [None] * n
+        for v, w, _ in _labelled_arcs(host, profile):
+            self._toggle(v, w, True)
+
+    def move(self, v: int, strategy: frozenset[int]) -> None:
+        old = self.strategies[v]
+        for w in old - strategy:
+            self._toggle(v, w, False)
+        for w in strategy - old:
+            self._toggle(v, w, True)
+        self.strategies[v] = strategy
+
+    def _toggle(self, v: int, w: int, add: bool) -> None:
+        """Add or drop arc (v, w); its pair changes only without a twin (w, v)."""
+        (self.buyers[w].add if add else self.buyers[w].discard)(v)
+        if w in self.buyers[v]:
+            return
+        label = self.rows[v][w]
+        pair = (v, w) if v < w else (w, v)
+        if add:
+            if label not in self.pairs:
+                self.pairs[label] = {}
+                self._sorted = None
+            self.pairs[label][pair] = None
+        else:
+            del self.pairs[label][pair]
+            if not self.pairs[label]:
+                del self.pairs[label]
+                self._sorted = None
+
+    def classes(self, skip: int | None = None) -> list:
+        """(label, pairs) ascending, as `core._reach_sweep` reads them; none
+        at agent `skip` (the graph G - skip) when it is given."""
+        # the cached list holds the class dicts themselves, so it goes stale
+        # only when a label gains its first pair or loses its last
+        if self._sorted is None:
+            self._sorted = sorted(self.pairs.items())
+        if skip is None:
+            return self._sorted
+        row = self.rows[skip]
+        hit = {row[w] for w in self.strategies[skip]} | {row[u] for u in self.buyers[skip]}
+        return [
+            (label, [p for p in pairs if skip not in p]) if label in hit else (label, pairs)
+            for label, pairs in self._sorted
+        ]
+
+    def starts(self, v: int) -> dict[int, list[int]]:
+        """v's endpoints grouped by the label of their pair with v."""
+        got = self._starts[v]
+        if got is None:
+            got = {}
+            for w, label in enumerate(self.rows[v]):
+                if label:
+                    got.setdefault(label, []).append(w)
+                elif w != v:
+                    raise ValueError(f"host pair ({v}, {w}) missing; host must be complete")
+            self._starts[v] = got
+        return got
 
 
 def agent_cost(host: TemporalGraph, profile: StrategyProfile, v: int) -> CostVector:
     if not (0 <= v < host.n):
         raise ValueError(f"agent {v} out of range")
-    return _agent_costs(host, profile)[v]
+    return _agent_costs(_CreatedState(host, profile))[v]
 
 
-def _agent_costs(host: TemporalGraph, profile: StrategyProfile) -> list[CostVector]:
+def _agent_costs(state: _CreatedState) -> list[CostVector]:
     """Every agent's cost, from one reach sweep over the created graph."""
-    n = host.n
-    reached = _reach_sweep(n, _arc_classes(host, profile), {1: range(n)})
-    return [
-        CostVector(n - reached[v].bit_count(), len(profile.strategies[v]))
-        for v in range(n)
-    ]
+    n = state.n
+    reached = _reach_sweep(n, state.classes(), {1: range(n)})
+    return [CostVector(n - reached[v].bit_count(), len(state.strategies[v])) for v in range(n)]
 
 
 def social_cost(host: TemporalGraph, profile: StrategyProfile) -> CostVector:
     """Sum of agent costs; the edges component equals the total arc count."""
-    return sum(_agent_costs(host, profile), CostVector(0, 0))
+    return sum(_agent_costs(_CreatedState(host, profile)), CostVector(0, 0))

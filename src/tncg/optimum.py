@@ -7,7 +7,7 @@ from fractions import Fraction
 from .core import Pair, TemporalGraph, _merge_class, _mono_spanning_tree
 from .errors import NotASpanner, NotTemporallyConnected, SearchSpaceExceeded
 from .game import StrategyProfile, social_cost
-from .responses import DEFAULT_BUDGET
+from .responses import DEFAULT_BUDGET, _check_budget
 
 
 class _EdgeMasks:
@@ -106,7 +106,7 @@ def minimum_spanner(
     cannot beat the incumbent (retained edges plus static components minus
     one) and branches whose retained and undecided edges together are not
     temporally connected.  budget_cap bounds search nodes; exceeding it
-    raises SearchSpaceExceeded.
+    raises SearchSpaceExceeded, and budget_cap < 0 raises ValueError.
 
     Search nodes are edge bitmasks, and each node runs at most one
     connectivity sweep: an exclude child keeps its parent's retained set,
@@ -115,6 +115,7 @@ def minimum_spanner(
     those repeats leaves the tree unchanged, so a budget counts the same
     nodes as it always has.
     """
+    _check_budget(budget_cap)
     masks = _EdgeMasks(host)
     if not masks.connected(masks.all):
         raise NotTemporallyConnected("graph is not temporally connected")
@@ -183,8 +184,10 @@ def poa_ratio(
 
     The profile must make the host temporally connected (zero unreached
     pairs); otherwise its cost is not comparable to a spanner.  An edgeless
-    optimum (a 1-node host) leaves the ratio undefined: ValueError.
+    optimum (a 1-node host) leaves the ratio undefined: ValueError, as does
+    budget_cap < 0.
     """
+    _check_budget(budget_cap)
     sc = social_cost(host, profile)
     if sc.unreached > 0:
         raise NotASpanner(

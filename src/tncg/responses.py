@@ -12,51 +12,48 @@ does not depend on v's own strategy.  v's reach under strategy S is then
 strategy is a few bitmask unions and exact best response is a minimum set
 cover over fixed candidate masks.  All n-1 covers come from one reach sweep
 over the created graph's label classes without v, each endpoint w read off
-at its own start label({v, w}); no graph object is built.
+at its own start label({v, w}); greedy scores each toggle by one popcount.
 
-The view is the one place that evaluates an agent, and `best` the one place
-that maps a rule to its search: dynamics, `tncg br` and the equilibrium
-checks call it, and the structural audit reads necessary sets off its
-covers.  The audits take the created graph's pairs and labels straight from
-the profile and the host, so no check or audit builds a graph.
+A view reads a `game._CreatedState`: the label classes, kept across a whole
+dynamics run and shared by every view of one check, with labels from the
+host's label table, so no graph is built and no arc regrouped per view.  The
+view is the one place that evaluates an agent, and `best` the one place that
+maps a rule to its search: dynamics, `tncg br` and the equilibrium checks
+call it, and the structural audit reads necessary sets off its covers.
 """
 
 from __future__ import annotations
 
 from .core import TemporalGraph, _reach_sweep
 from .errors import SearchSpaceExceeded
-from .game import CostVector, StrategyProfile, _arc_classes
+from .game import CostVector, StrategyProfile, _CreatedState
 
 DEFAULT_BUDGET = 10_000_000
 
 
+def _check_budget(budget_cap: int) -> None:
+    if budget_cap < 0:
+        raise ValueError(f"budget_cap must be >= 0, got {budget_cap}")
+
+
 class _AgentView:
-    """Per-agent cover data for one (host, profile, v) evaluation."""
+    """Per-agent cover data for one agent v of a created-graph state."""
 
     __slots__ = ("n", "v", "current", "covers", "in_mask", "base", "cur_mask", "cur_cost")
 
-    def __init__(self, host: TemporalGraph, profile: StrategyProfile, v: int):
-        n = host.n
+    def __init__(self, state: _CreatedState, v: int):
+        n = state.n
         if not (0 <= v < n):
             raise ValueError(f"agent {v} out of range")
-        starts: dict[int, list[int]] = {}
-        for w in range(n):
-            if w == v:
-                continue
-            label = host.label(v, w)
-            if label is None:
-                raise ValueError(f"host pair ({v}, {w}) missing; host must be complete")
-            starts.setdefault(label, []).append(w)
-        covers = _reach_sweep(n, _arc_classes(host, profile, skip=v), starts)
+        covers = _reach_sweep(n, state.classes(skip=v), state.starts(v))
         self.n = n
         self.v = v
-        self.current = profile.strategies[v]
+        self.current = state.strategies[v]
         self.covers = covers
         self.base = 1 << v
         in_mask = 0
-        for u in range(n):
-            if v in profile.strategies[u]:
-                in_mask |= covers[u]
+        for u in state.buyers[v]:
+            in_mask |= covers[u]
         self.in_mask = in_mask
         cur = self.base | in_mask
         for w in self.current:
@@ -64,27 +61,43 @@ class _AgentView:
         self.cur_mask = cur
         self.cur_cost = CostVector(n - cur.bit_count(), len(self.current))
 
-    def strategy_cost(self, strategy) -> CostVector:
-        mask = self.base | self.in_mask
-        for w in strategy:
-            mask |= self.covers[w]
-        return CostVector(self.n - mask.bit_count(), len(strategy))
-
     def greedy(self) -> tuple[frozenset[int], CostVector]:
-        """Best single-arc toggle and its cost; (current, cur_cost) if none improves."""
-        best_cost = self.cur_cost
+        """Best single-arc toggle and its cost; (current, cur_cost) if none improves.
+
+        Adding w reaches cur_mask | covers[w]; dropping w reaches base | in_mask
+        with the prefix and suffix unions of the other current covers.  Ties go
+        to the lexicographically smallest resulting set, built as a tuple only
+        for a candidate that improves on or ties with the best.
+        """
+        n, v, covers, current = self.n, self.v, self.covers, self.current
+        k = len(current)
+        own = sorted(current)
+        suffix = [0] * (k + 1)
+        for i in range(k - 1, -1, -1):
+            suffix[i] = suffix[i + 1] | covers[own[i]]
+        dropped = {}
+        prefix = self.base | self.in_mask
+        for i, w in enumerate(own):
+            dropped[w] = prefix | suffix[i + 1]
+            prefix |= covers[w]
+        cur = self.cur_mask
+        best_u, best_e = self.cur_cost.unreached, k
         best: tuple[int, ...] | None = None
-        for w in range(self.n):
-            if w == self.v:
+        for w in range(n):
+            if w == v:
                 continue
-            cand = tuple(sorted(self.current ^ {w}))
-            cost = self.strategy_cost(cand)
-            if cost < best_cost or (cost == best_cost and best is not None and cand < best):
-                best_cost = cost
-                best = cand
+            mask = dropped.get(w)
+            if mask is None:
+                u, e = n - (cur | covers[w]).bit_count(), k + 1
+            else:
+                u, e = n - mask.bit_count(), k - 1
+            if u < best_u or (u == best_u and (e < best_e or (e == best_e and best is not None))):
+                cand = tuple(sorted(current ^ {w}))
+                if u != best_u or e != best_e or cand < best:
+                    best_u, best_e, best = u, e, cand
         if best is None:
-            return self.current, best_cost
-        return frozenset(best), best_cost
+            return current, self.cur_cost
+        return frozenset(best), CostVector(best_u, best_e)
 
     def best(self, rule: str, budget_cap: int) -> tuple[frozenset[int], CostVector]:
         """The best strategy under rule ("greedy" or "exact") and its cost."""
@@ -92,6 +105,7 @@ class _AgentView:
 
     def exact(self, budget_cap: int) -> tuple[frozenset[int], CostVector]:
         """Cost-minimal strategy and its cost; see exact_best_response."""
+        _check_budget(budget_cap)
         current = self.current
         n = self.n
         full = (1 << n) - 1
@@ -129,7 +143,7 @@ def greedy_best_response(
     Returns (strategy, improved).  Ties among equally good moves go to the
     lexicographically smallest resulting endpoint set.  Uses one reach sweep.
     """
-    view = _AgentView(host, profile, v)
+    view = _AgentView(_CreatedState(host, profile), v)
     strategy, cost = view.greedy()
     return strategy, cost < view.cur_cost
 
@@ -232,6 +246,6 @@ def exact_best_response(
     returns the current strategy when nothing strictly better exists.
 
     Raises SearchSpaceExceeded when more than budget_cap cover evaluations
-    would be needed to prove optimality.
+    would be needed to prove optimality, and ValueError when budget_cap < 0.
     """
-    return _AgentView(host, profile, v).exact(budget_cap)
+    return _AgentView(_CreatedState(host, profile), v).exact(budget_cap)

@@ -78,3 +78,36 @@ def brute_best_response(host, profile, v):
             if best is None or key < best[0]:
                 best = (key, frozenset(combo), cost)
     return best[1], best[2]
+
+
+def brute_label_classes(host, profile, skip=None) -> dict:
+    """label -> sorted pairs of the undirected created graph without node skip."""
+    classes = {}
+    for (a, b), lab in brute_created_graph(host, profile).edges.items():
+        if skip not in (a, b):
+            classes.setdefault(lab, []).append((a, b))
+    return {lab: sorted(pairs) for lab, pairs in classes.items()}
+
+
+def candidate_greedy(view):
+    """Reference greedy search over an agent view's covers: build and score
+    every toggled endpoint set; ties go to the lexicographically smallest
+    set.  Returns (strategy, cost) like `_AgentView.greedy`."""
+    from tncg import CostVector
+
+    best_cost = view.cur_cost
+    best = None
+    for w in range(view.n):
+        if w == view.v:
+            continue
+        cand = tuple(sorted(view.current ^ {w}))
+        mask = view.base | view.in_mask
+        for x in cand:
+            mask |= view.covers[x]
+        cost = CostVector(view.n - mask.bit_count(), len(cand))
+        if cost < best_cost or (cost == best_cost and best is not None and cand < best):
+            best_cost = cost
+            best = cand
+    if best is None:
+        return view.current, best_cost
+    return frozenset(best), best_cost

@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tncg
 from tncg.cli import main
 
 
@@ -334,3 +339,27 @@ def test_csv_format(tmp_path, capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 1
     assert rows[0]["n"] == "5"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--budget", "-5"],
+    ["--rule", "exact", "--budget", "-1"],
+])
+def test_negative_budget_is_exit_2(tmp_path, capsys, argv):
+    host = tmp_path / "h.tg"
+    run(capsys, "gen", "random", "--n", "6", "--t", "4", "-o", str(host))
+    code, out, err = run(capsys, "dynamics", "--host", str(host), *argv)
+    assert code == 2 and out == ""
+    assert "budget_cap must be >= 0" in one_error_line(err)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = Path(tncg.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    host = tmp_path / "h.tg"
+    done = subprocess.run(
+        [sys.executable, "-m", "tncg", "gen", "random", "--n", "4", "--t", "2", "-o", str(host)],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["n"] == 4 and host.exists()

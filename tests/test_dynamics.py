@@ -10,13 +10,17 @@ from tncg import (
     OUTCOME_GE,
     OUTCOME_NE,
     StrategyProfile,
+    TemporalGraph,
     agent_cost,
     check_ge,
     check_ne,
+    exact_best_response,
     final_profile,
     gen_br_cycle,
     gen_random_host,
     gen_random_profile,
+    minimum_spanner,
+    poa_ratio,
     replay,
     run_dynamics,
     trace_from_dict,
@@ -194,3 +198,65 @@ def test_traces_match_golden_digest():
         outcomes.add(trace.outcome)
     assert outcomes == {OUTCOME_CAP, OUTCOME_CYCLE, OUTCOME_GE, OUTCOME_NE}
     assert digest.hexdigest() == "0130650443fe68b64281abd402b64d986c7f4437c698330e31b1a47e4a96bd2c"
+
+
+def _large_greedy_runs():
+    """Greedy runs at n = 16, 24, 30 with t = n^2/4: round-robin from the empty
+    profile, and the random schedule from a random profile with 2n arcs (so
+    the run drops arcs and antiparallel pairs); each converged final profile
+    is checked by check_ge and check_ne, both with the audit."""
+    rng = random.Random(905)
+    for n in (16, 24, 24, 30):
+        host = gen_random_host(n, n * n // 4, rng.randrange(10**6))
+        runs = (("round-robin", StrategyProfile(n, [set()] * n)),
+                ("random", gen_random_profile(host, 2 * n, rng.randrange(10**6))))
+        for schedule, start in runs:
+            trace = run_dynamics(host, start, schedule=schedule, rule="greedy",
+                                 seed=rng.randrange(100))
+            reports = None
+            if trace.outcome == OUTCOME_GE:
+                final = final_profile(trace)
+                reports = [check_ge(host, final, audit=True).as_dict(),
+                           check_ne(host, final, audit=True).as_dict()]
+            yield trace, reports
+
+
+def test_large_greedy_traces_and_checks_match_golden_digests():
+    traces, checks = hashlib.sha256(), hashlib.sha256()
+    moves = drops = audited = 0
+    for trace, reports in _large_greedy_runs():
+        traces.update(json.dumps(trace.as_dict(), sort_keys=True).encode() + b"\n")
+        checks.update(json.dumps(reports, sort_keys=True).encode() + b"\n")
+        moves += len(trace.moves)
+        drops += sum(len(m.new) < len(m.old) for m in trace.moves)
+        audited += reports is not None
+    assert moves >= 2000 and drops >= 500 and audited == 8
+    assert traces.hexdigest() == "5ba0484d5c1e62bd1ee112bea50de93b90549e0c9858362402ae5c8df8304507"
+    assert checks.hexdigest() == "ea3d2225c6d1872bdeb66e129db009b799deae76d94591b20488f8aab39d421b"
+
+
+def test_incomplete_host_is_rejected_by_name():
+    host = TemporalGraph(3, {(0, 1): 1, (1, 2): 2})
+    message = r"^host pair \(0, 2\) missing; host must be complete$"
+    with pytest.raises(ValueError, match=message):
+        run_dynamics(host, StrategyProfile(3, [set()] * 3))
+    with pytest.raises(ValueError, match=message):
+        check_ge(host, StrategyProfile(3, [set()] * 3))
+
+
+def test_negative_budgets_are_rejected():
+    host = gen_random_host(5, 3, 11)
+    start = StrategyProfile(5, [set()] * 5)
+    for rule in ("greedy", "exact"):
+        with pytest.raises(ValueError, match=r"^budget_cap must be >= 0, got -1$"):
+            run_dynamics(host, start, rule=rule, budget_cap=-1)
+    with pytest.raises(ValueError, match="budget_cap"):
+        exact_best_response(host, start, 0, budget_cap=-1)
+    with pytest.raises(ValueError, match="budget_cap"):
+        check_ne(host, start, budget_cap=-1)
+    with pytest.raises(ValueError, match="budget_cap"):
+        minimum_spanner(host, budget_cap=-1)
+    with pytest.raises(ValueError, match="budget_cap"):
+        poa_ratio(host, final_profile(run_dynamics(host, start)), budget_cap=-1)
+    # a zero budget stays valid: it fails only once a search needs a step
+    assert run_dynamics(host, start, budget_cap=0).outcome == OUTCOME_GE

@@ -31,6 +31,7 @@ from tncg import (
 )
 from tncg.core import reach_evaluations, reset_reach_evaluations
 from tncg.equilibrium import _ceil_sqrt_over, _dense_below_threshold, _find_forbidden
+from tncg.game import _CreatedState
 
 from oracles import brute_created_graph, brute_reach
 
@@ -162,7 +163,7 @@ def test_forbidden_scan_returns_first_witness():
     # pins its order: z, then u1 < u2, then targets, then arcs ascending
     host, profile = _near_miss_geometry(z_label=1)
     masks = {arc: (1 << 3) | (1 << 4) for arc in profile.arcs()}
-    witness = _find_forbidden(host, profile, masks)
+    witness = _find_forbidden(_CreatedState(host, profile), masks)
     assert witness.as_dict() == {
         "z": 0, "u1": 1, "u2": 2, "x": 3, "y": 4,
         "e1x": [1, 5], "e1y": [1, 6], "e2x": [2, 7], "e2y": [2, 8],

@@ -108,3 +108,21 @@ def test_agent_cost_matches_oracle_randomized():
         p = gen_random_profile(host, arcs, rng.randrange(10**6))
         for v in range(n):
             assert agent_cost(host, p, v) == brute_agent_cost(host, p, v)
+
+
+def test_agent_cost_rejects_arc_over_missing_pair():
+    host = TemporalGraph(3, {(0, 1): 1, (1, 2): 2})
+    p = StrategyProfile(3, [{2}, set(), set()])
+    with pytest.raises(ValueError, match=r"^arc \(0, 2\) has no host pair$"):
+        agent_cost(host, p, 1)
+
+
+def test_with_strategy_validates_the_new_strategy():
+    p = StrategyProfile(6, [{1}, {0}, set(), set(), set(), set()])
+    with pytest.raises(ValueError, match=r"^agent 0 buys an arc to itself$"):
+        p.with_strategy(0, [0])
+    with pytest.raises(ValueError, match=r"^agent 0: endpoint 5 out of range$"):
+        StrategyProfile(5, [set()] * 5).with_strategy(0, [5])
+    q = p.with_strategy(2, [4, 3])
+    assert q.canonical() == ((1,), (0,), (3, 4), (), (), ())
+    assert q == StrategyProfile(6, [{1}, {0}, {3, 4}, set(), set(), set()])

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tncg import (
+    OUTCOME_GE,
     SearchSpaceExceeded,
     StrategyProfile,
     TemporalGraph,
@@ -17,12 +18,20 @@ from tncg import (
     gen_t2_family,
     greedy_best_response,
     is_temporally_connected,
+    run_dynamics,
     social_cost,
 )
 from tncg.core import mask_to_set, reach_evaluations, reset_reach_evaluations
+from tncg.game import _CreatedState
 from tncg.responses import _AgentView
 
-from oracles import brute_agent_cost, brute_best_response, brute_reach
+from oracles import (
+    brute_agent_cost,
+    brute_best_response,
+    brute_label_classes,
+    brute_reach,
+    candidate_greedy,
+)
 
 
 @st.composite
@@ -41,7 +50,7 @@ def games(draw, max_n):
 @given(games(max_n=7))
 def test_agent_view_matches_oracles(case):
     host, p, v = case
-    view = _AgentView(host, p, v)
+    view = _AgentView(_CreatedState(host, p), v)
     rest = {}
     for a, b in p.arcs():
         if v not in (a, b):
@@ -183,3 +192,71 @@ def test_greedy_from_empty_buys_something_useful():
     assert improved and len(s) == 1
     after = agent_cost(host, p.with_strategy(0, s), 0)
     assert after < agent_cost(host, p, 0)
+
+
+@st.composite
+def move_sequences(draw):
+    # a complete host on few labels, a start profile, random moves, and a
+    # pair u, w whose antiparallel arcs the test creates and then drops
+    n = draw(st.integers(2, 7))
+    pairs = [(u, w) for u in range(n) for w in range(u + 1, n)]
+    labels = draw(st.lists(st.sampled_from([1, 2, 3, 4]), min_size=len(pairs), max_size=len(pairs)))
+    host = TemporalGraph(n, dict(zip(pairs, labels)))
+    others = [[w for w in range(n) if w != u] for u in range(n)]
+    start = StrategyProfile(n, [draw(st.sets(st.sampled_from(others[u]))) for u in range(n)])
+    moves = draw(st.lists(
+        st.integers(0, n - 1).flatmap(
+            lambda u: st.tuples(st.just(u), st.frozensets(st.sampled_from(others[u])))),
+        max_size=10))
+    u, w = draw(st.sampled_from(pairs))
+    return host, start, moves, u, w
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(move_sequences())
+def test_created_state_patches_match_fresh_grouping(case):
+    host, profile, moves, u, w = case
+    n = host.n
+    state = _CreatedState(host, profile)
+    # after the random moves, u and w both buy {u, w}, then drop it in turn
+    steps = [(v, lambda p, s=s: s) for v, s in moves] + [
+        (u, lambda p: p[u] | {w}), (w, lambda p: p[w] | {u}),
+        (u, lambda p: p[u] - {w}), (w, lambda p: p[w] - {u}),
+    ]
+    for v, new in steps:
+        profile = profile.with_strategy(v, new(profile))
+        state.move(v, profile[v])
+        fresh = _CreatedState(host, profile)
+        for skip in [None, *range(n)]:
+            classes = state.classes(skip)
+            assert [lab for lab, _ in classes] == sorted({lab for lab, _ in classes})
+            got = {lab: sorted(ps) for lab, ps in classes if ps}
+            assert got == brute_label_classes(host, profile, skip)
+        for x in range(n):
+            a, b = _AgentView(state, x), _AgentView(fresh, x)
+            assert (a.covers, a.in_mask, a.cur_cost) == (b.covers, b.in_mask, b.cur_cost)
+
+
+def test_greedy_matches_candidate_search():
+    # hosts with n up to 12 and many labels, agents with non-empty strategies:
+    # random profiles, and profiles met along greedy runs
+    rng = random.Random(906)
+    cases = []
+    for _ in range(60):
+        n = rng.randint(3, 12)
+        host = gen_random_host(n, rng.randint(n, n * (n - 1) // 2), rng.randrange(10**6))
+        cases.append((host, gen_random_profile(host, rng.randint(n, 2 * n), rng.randrange(10**6))))
+        trace = run_dynamics(host, empty_profile(n), max_steps=rng.randint(1, 3 * n))
+        cases.append((host, StrategyProfile(n, [set(s) for s in trace.final])))
+    removals = ties = 0
+    for host, p in cases:
+        state = _CreatedState(host, p)
+        for v in range(host.n):
+            view = _AgentView(state, v)
+            strategy, cost = view.greedy()
+            assert (strategy, cost) == candidate_greedy(view)
+            removals += len(strategy) < len(view.current)
+            scored = [agent_cost(host, p.with_strategy(v, view.current ^ {w}), v)
+                      for w in range(host.n) if w != v]
+            ties += cost < view.cur_cost and scored.count(cost) > 1
+    assert removals >= 100 and ties >= 200
