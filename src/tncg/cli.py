@@ -35,7 +35,7 @@ from .fileio import (
 )
 from .game import _CreatedState, empty_profile, social_cost
 from .optimum import minimal_spanner, minimum_spanner, poa_ratio
-from .responses import DEFAULT_BUDGET, _AgentView
+from .responses import DEFAULT_BUDGET, _AgentView, _check_budget
 
 
 def _emit(fmt: str, payload) -> None:
@@ -48,7 +48,7 @@ def _emit(fmt: str, payload) -> None:
     for r in rows:
         fr = {}
         for k, v in r.items():
-            if isinstance(v, (dict, list)):
+            if isinstance(v, (dict, list, tuple)):
                 v = json.dumps(v, sort_keys=True)
             fr[k] = "" if v is None else v
             if k not in fields:
@@ -388,6 +388,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handler = _DISPATCH[args.command]
     try:
+        if "budget" in args:
+            _check_budget(args.budget)
         return handler(args)
     except (TncgError, ValueError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -10,7 +10,7 @@ improvement property, so cycles are a real outcome, not an error.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Sequence
 
 from .core import TemporalGraph
@@ -49,58 +49,24 @@ class DynamicsTrace:
     activations: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "rule": self.rule,
-            "schedule": self.schedule,
-            "seed": self.seed,
-            "max_steps": self.max_steps,
-            "initial": [list(s) for s in self.initial],
-            "moves": [
-                {
-                    "step": m.step,
-                    "agent": m.agent,
-                    "old": list(m.old),
-                    "new": list(m.new),
-                    "cost_before": m.cost_before.as_dict(),
-                    "cost_after": m.cost_after.as_dict(),
-                }
-                for m in self.moves
-            ],
-            "outcome": self.outcome,
-            "period": self.period,
-            "entry": self.entry,
-            "final": [list(s) for s in self.final],
-            "activations": self.activations,
-        }
+        return asdict(self)
 
 
 def trace_from_dict(data: dict) -> DynamicsTrace:
-    trace = DynamicsTrace(
-        n=data["n"],
-        rule=data["rule"],
-        schedule=data["schedule"],
-        seed=data["seed"],
-        max_steps=data["max_steps"],
-        initial=tuple(tuple(s) for s in data["initial"]),
-    )
-    trace.moves = [
-        Move(
-            step=m["step"],
-            agent=m["agent"],
-            old=tuple(m["old"]),
-            new=tuple(m["new"]),
-            cost_before=CostVector(**m["cost_before"]),
-            cost_after=CostVector(**m["cost_after"]),
-        )
-        for m in data["moves"]
-    ]
-    trace.outcome = data["outcome"]
-    trace.period = data["period"]
-    trace.entry = data["entry"]
-    trace.final = tuple(tuple(s) for s in data["final"])
-    trace.activations = data["activations"]
+    """The trace that `DynamicsTrace.as_dict` wrote.  Every field is read by
+    name: a missing key raises KeyError, an unknown key is ignored."""
+    trace = DynamicsTrace(**{f.name: data[f.name] for f in fields(DynamicsTrace)})
+    trace.initial = tuple(tuple(s) for s in trace.initial)
+    trace.final = tuple(tuple(s) for s in trace.final)
+    trace.moves = [_move_from_dict(m) for m in trace.moves]
     return trace
+
+
+def _move_from_dict(data: dict) -> Move:
+    m = {f.name: data[f.name] for f in fields(Move)}
+    return Move(**{**m, "old": tuple(m["old"]), "new": tuple(m["new"]),
+                   "cost_before": CostVector(**m["cost_before"]),
+                   "cost_after": CostVector(**m["cost_after"])})
 
 
 def run_dynamics(

@@ -11,7 +11,7 @@ turns any greedy equilibrium into a Nash equilibrium.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .core import TemporalGraph, mask_to_set, norm_pair
@@ -33,16 +33,7 @@ class BoundsReport:
     dense_ok: bool                # arcs strictly below the threshold (exact test)
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "t": self.t,
-            "arcs": self.arcs,
-            "arc_bound": self.arc_bound,
-            "arc_bound_applies": self.arc_bound_applies,
-            "arc_bound_ok": self.arc_bound_ok,
-            "dense_threshold": self.dense_threshold,
-            "dense_ok": self.dense_ok,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -87,13 +78,7 @@ class ProfileAudit:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "antiparallel_free": self.antiparallel_free,
-            "bounds": self.bounds.as_dict(),
-            "necessary_ok": self.necessary_ok,
-            "forbidden": self.forbidden.as_dict() if self.forbidden else None,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 @dataclass(frozen=True)
@@ -105,17 +90,12 @@ class EquilibriumReport:
     audit: Optional[ProfileAudit] = None
 
     def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "stable": self.stable,
-            "witness": (
-                None
-                if self.witness is None
-                else {"agent": self.witness[0], "strategy": list(self.witness[1])}
-            ),
-            "agent_costs": [c.as_dict() for c in self.agent_costs],
-            "audit": self.audit.as_dict() if self.audit else None,
-        }
+        d = asdict(self)
+        if self.witness is not None:
+            d["witness"] = {"agent": self.witness[0], "strategy": self.witness[1]}
+        if self.audit is not None:
+            d["audit"] = self.audit.as_dict()
+        return d
 
 
 def check_ge(
@@ -169,15 +149,7 @@ def _owner_necessary_masks(view: _AgentView) -> dict[int, int]:
     covers of its other endpoints; an antiparallel twin puts cover[w] into
     the in-neighbor covers, so its arc's set comes out empty.
     """
-    fixed = view.base | view.in_mask
-    out = {}
-    for w in view.current:
-        rest = fixed
-        for x in view.current:
-            if x != w:
-                rest |= view.covers[x]
-        out[w] = view.cur_mask & ~rest
-    return out
+    return {w: view.cur_mask & ~rest for w, rest in view.dropped().items()}
 
 
 def necessary_set(
@@ -302,11 +274,7 @@ class LargeNodeWitness:
     trimmed: dict[int, tuple[tuple[int, int], ...]]   # u -> its set E_u of arcs
 
     def as_dict(self) -> dict:
-        return {
-            "z": self.z,
-            "members": list(self.members),
-            "trimmed": {str(u): [list(a) for a in arcs] for u, arcs in self.trimmed.items()},
-        }
+        return {**asdict(self), "trimmed": {str(u): arcs for u, arcs in self.trimmed.items()}}
 
 
 def find_large_node(g: DirectedTemporalGraph) -> LargeNodeWitness:

@@ -13,7 +13,7 @@ the identity on the parsed value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -223,12 +223,7 @@ class FileReport:
     errors: list = field(default_factory=list)  # (line or None, message)
 
     def as_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "kind": self.kind,
-            "ok": self.ok,
-            "errors": [{"line": ln, "message": msg} for ln, msg in self.errors],
-        }
+        return {**asdict(self), "errors": [{"line": ln, "message": msg} for ln, msg in self.errors]}
 
 
 def validate_files(

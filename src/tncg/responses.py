@@ -61,25 +61,31 @@ class _AgentView:
         self.cur_mask = cur
         self.cur_cost = CostVector(n - cur.bit_count(), len(self.current))
 
+    def dropped(self) -> dict[int, int]:
+        """Reach without each current arc (v, w), keyed by w: base | in_mask
+        with the prefix and suffix unions of the other current covers."""
+        covers = self.covers
+        own = sorted(self.current)
+        suffix = [0] * (len(own) + 1)
+        for i in range(len(own) - 1, -1, -1):
+            suffix[i] = suffix[i + 1] | covers[own[i]]
+        out = {}
+        prefix = self.base | self.in_mask
+        for i, w in enumerate(own):
+            out[w] = prefix | suffix[i + 1]
+            prefix |= covers[w]
+        return out
+
     def greedy(self) -> tuple[frozenset[int], CostVector]:
         """Best single-arc toggle and its cost; (current, cur_cost) if none improves.
 
-        Adding w reaches cur_mask | covers[w]; dropping w reaches base | in_mask
-        with the prefix and suffix unions of the other current covers.  Ties go
-        to the lexicographically smallest resulting set, built as a tuple only
-        for a candidate that improves on or ties with the best.
+        Adding w reaches cur_mask | covers[w], dropping it reaches dropped()[w].
+        Ties go to the lexicographically smallest resulting set, built as a
+        tuple only for a candidate that improves on or ties with the best.
         """
         n, v, covers, current = self.n, self.v, self.covers, self.current
         k = len(current)
-        own = sorted(current)
-        suffix = [0] * (k + 1)
-        for i in range(k - 1, -1, -1):
-            suffix[i] = suffix[i + 1] | covers[own[i]]
-        dropped = {}
-        prefix = self.base | self.in_mask
-        for i, w in enumerate(own):
-            dropped[w] = prefix | suffix[i + 1]
-            prefix |= covers[w]
+        dropped = self.dropped()
         cur = self.cur_mask
         best_u, best_e = self.cur_cost.unreached, k
         best: tuple[int, ...] | None = None

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -342,13 +343,20 @@ def test_csv_format(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--budget", "-5"],
-    ["--rule", "exact", "--budget", "-1"],
+    ["dynamics", "--budget", "-5"],
+    ["dynamics", "--rule", "exact", "--budget", "-1"],
+    ["br", "--profile", "P", "--agent", "0", "--budget", "-1"],
+    ["check", "--profile", "P", "--mode", "ge", "--budget", "-1"],
+    ["spanner", "--budget", "-1"],
+    ["poa", "--profile", "P", "--mode", "ge", "--budget", "-1"],
 ])
 def test_negative_budget_is_exit_2(tmp_path, capsys, argv):
     host = tmp_path / "h.tg"
+    prof = tmp_path / "p.tsp"
     run(capsys, "gen", "random", "--n", "6", "--t", "4", "-o", str(host))
-    code, out, err = run(capsys, "dynamics", "--host", str(host), *argv)
+    prof.write_text("")
+    argv = [str(prof) if a == "P" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--host", str(host))
     assert code == 2 and out == ""
     assert "budget_cap must be >= 0" in one_error_line(err)
 
@@ -363,3 +371,42 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["n"] == 4 and host.exists()
+
+
+def test_cli_outputs_match_golden_digest(tmp_path, capsys, monkeypatch):
+    """The bytes of trace files, audited checks and validation reports, in
+    JSON and CSV: a trace file keeps its keys unsorted and CSV writes its
+    columns in key order, so both pin the key order as well as the values."""
+    monkeypatch.chdir(tmp_path)  # validate reports name files as given
+    Path("inst.sc").write_text("2 3\n1\n2\n1 2\ncover: 1 2\n")
+    Path("good.tg").write_text("2 1\n0 1 1\n")
+    Path("bad.tsp").write_text("0: 0\n")
+    setup = [
+        ["gen", "hypercube", "--dim", "3", "-o", "cube.tg", "--profile", "cube.tsp"],
+        ["gen", "brcycle", "-o", "cyc.tg", "--profile", "cyc.tsp", "--schedule-out", "cyc.sched"],
+        ["gen", "random", "--n", "7", "--t", "3", "--seed", "2", "-o", "rand.tg"],
+        ["reduce-ne", "--setcover", "inst.sc", "-o", "red.tg", "--profile", "red.tsp"],
+    ]
+    for argv in setup:
+        assert run(capsys, *argv)[0] == 0
+    Path("cyc.sched").write_text(Path("cyc.sched").read_text() * 4)
+    runs = [
+        ["dynamics", "--host", "cyc.tg", "--profile", "cyc.tsp", "--rule", "exact",
+         "--schedule", "file:cyc.sched", "-o", "cycle.json"],
+        ["dynamics", "--host", "rand.tg", "--rule", "exact", "-o", "exact.json"],
+        ["dynamics", "--host", "rand.tg", "--schedule", "random", "--seed", "3", "-o", "random.json"],
+    ]
+    for fmt in ("json", "csv"):
+        for host, prof in (("cube.tg", "cube.tsp"), ("red.tg", "red.tsp")):
+            runs.append(["check", "--host", host, "--profile", prof, "--audit", "--format", fmt])
+        runs.append(["validate", "good.tg", "bad.tsp", "notes.txt", "--format", fmt])
+    digest = hashlib.sha256()
+    codes = []
+    for argv in runs:
+        code, out, _ = run(capsys, *argv)
+        codes.append(code)
+        digest.update(f"{argv}\n{code}\n{out}".encode())
+    for name in ("cycle.json", "exact.json", "random.json"):
+        digest.update(Path(name).read_bytes())
+    assert codes == [0, 0, 0, 0, 1, 2, 0, 1, 2]
+    assert digest.hexdigest() == "b940b3d2363050df01dcf4cec69c72f0e1f94a6a136ba39fb54316bc1e356f35"

@@ -16,8 +16,9 @@ from tncg import (
     set_to_mask,
 )
 from tncg.core import reach_evaluations, reset_reach_evaluations
+from tncg.optimum import _EdgeMasks
 
-from oracles import brute_reach
+from oracles import brute_connected, brute_reach
 
 
 def path_graph(labels):
@@ -167,6 +168,25 @@ def test_reach_from_start_label_matches_oracle(case):
     g, u, start = case
     upper = TemporalGraph(g.n, {p: lab for p, lab in g.edges.items() if lab >= start})
     assert mask_to_set(g.reach_mask(u, start_label=start)) == brute_reach(upper, u)
+
+
+def test_reach_and_edge_masks_on_long_label_classes():
+    # two labels on sparse graphs of 8-14 nodes give classes of a dozen or
+    # more pairs, longer than the Hypothesis tests above draw
+    rng = random.Random(2305)
+    longest = connected = 0
+    for _ in range(200):
+        n = rng.randint(8, 14)
+        g = random_graph(rng, n, 2, p=0.25)
+        for s in (1, 2):
+            longest = max(longest, sum(lab == s for lab in g.edges.values()))
+            upper = TemporalGraph(n, {p: lab for p, lab in g.edges.items() if lab >= s})
+            for u in range(n):
+                assert mask_to_set(g.reach_mask(u, start_label=s)) == brute_reach(upper, u)
+        got = _EdgeMasks(g).connected((1 << g.edge_count) - 1)
+        assert got == brute_connected(g), g.edges
+        connected += got
+    assert longest >= 12 and 0 < connected < 200
 
 
 def test_reach_monotone_in_start_label():

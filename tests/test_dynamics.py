@@ -159,6 +159,20 @@ def test_trace_dict_round_trip():
     assert replay(back).canonical() == trace.final
 
 
+def test_trace_from_dict_reads_every_field_by_name():
+    host, profile, schedule = gen_br_cycle()
+    data = json.loads(json.dumps(run_dynamics(host, profile, schedule=schedule, rule="exact").as_dict()))
+    extra = {**data, "note": 1, "moves": [{**m, "note": 1} for m in data["moves"]]}
+    assert json.dumps(trace_from_dict(extra).as_dict()) == json.dumps(data)
+    for key in data:
+        with pytest.raises(KeyError):
+            trace_from_dict({k: v for k, v in data.items() if k != key})
+    for key in data["moves"][0]:
+        moves = [{k: v for k, v in m.items() if k != key} for m in data["moves"]]
+        with pytest.raises(KeyError):
+            trace_from_dict({**data, "moves": moves})
+
+
 def test_replay_rejects_tampered_trace():
     host, profile, schedule = gen_br_cycle()
     trace = run_dynamics(host, profile, schedule=schedule, rule="exact")

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -303,6 +305,9 @@ def test_find_large_node_threshold_boundary():
         find_large_node(gen_random_directed(36, 565, 3, 1))
     w = find_large_node(gen_random_directed(36, 566, 3, 1))
     assert verify_large_node(gen_random_directed(36, 566, 3, 1), w)
+    # the witness's JSON bytes, key order included
+    digest = hashlib.sha256(json.dumps(w.as_dict()).encode()).hexdigest()
+    assert digest == "fdca9f12f6a869c7deae2e22ed8e047f0b7554e7cd1c8e02e49f9f5d2e8f5a85"
 
 
 def test_freeze_relabel_mapping():
