@@ -7,7 +7,9 @@ edges of the same label may be used in sequence.
 
 Node sets are manipulated as bitmasks (Python ints) in the hot paths; the
 public API exchanges ordinary sets.  Reach sets come from `_reach_sweep`: one
-descending pass over the label classes serves any number of sources.
+descending pass over the label classes serves any number of sources.  A class
+is a triple (label, pairs, matching); `matching` (`_is_matching`) says that
+no two pairs share an endpoint, so one pass over the class settles it.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ class TemporalGraph:
             norm[p] = label
         self.n = n
         self.edges = MappingProxyType(norm)
-        self._classes: list[tuple[int, list[Pair]]] | None = None
+        self._classes: list[tuple[int, list[Pair], bool]] | None = None
         self._rows: list[list[int]] | None = None
 
     @property
@@ -127,13 +129,16 @@ class TemporalGraph:
     def __repr__(self):
         return f"TemporalGraph(n={self.n}, edges={self.edge_count}, lifetime={self.lifetime})"
 
-    def _label_classes(self) -> list[tuple[int, list[Pair]]]:
-        """(label, pairs) per label present, ascending label, pairs ascending."""
+    def _label_classes(self) -> list[tuple[int, list[Pair], bool]]:
+        """(label, pairs, matching) per label present, ascending label, pairs
+        ascending; see `_is_matching`."""
         if self._classes is None:
             by_label: dict[int, list[Pair]] = {}
             for p, label in sorted(self.edges.items()):
                 by_label.setdefault(label, []).append(p)
-            self._classes = sorted(by_label.items())
+            self._classes = [
+                (label, pairs, _is_matching(pairs)) for label, pairs in sorted(by_label.items())
+            ]
         return self._classes
 
     def _label_rows(self) -> list[list[int]]:
@@ -174,9 +179,22 @@ def set_to_mask(nodes: Iterable[int]) -> int:
     return mask
 
 
+def _is_matching(pairs: Iterable[Pair]) -> bool:
+    """True iff no two pairs share an endpoint.  Merging such a class takes
+    one pass, so the reach kernels skip `_merge_class` for it."""
+    seen: set[int] = set()
+    for u, v in pairs:
+        if u in seen or v in seen:
+            return False
+        seen.add(u)
+        seen.add(v)
+    return True
+
+
 def _merge_class(reached: list[int], pairs: Iterable[Pair]) -> None:
     """Merge the masks of each pair's endpoints until nothing changes, so each
-    node of a component of one label class ends with the component's union."""
+    node of a component of one label class ends with the component's union.
+    The last pass only confirms, which a matching does not need."""
     changed = True
     while changed:
         changed = False
@@ -188,16 +206,19 @@ def _merge_class(reached: list[int], pairs: Iterable[Pair]) -> None:
 
 
 def _reach_sweep(
-    n: int, classes: list[tuple[int, list[Pair]]], starts: Mapping[int, Iterable[int]]
+    n: int,
+    classes: list[tuple[int, Iterable[Pair], bool]],
+    starts: Mapping[int, Iterable[int]],
 ) -> list[int]:
     """Reach masks of many sources in one descending pass over label classes.
 
-    classes: (label, pairs), ascending label.  starts maps a start label s to
-    the nodes (each listed once) whose reach over labels >= s is wanted; the
-    result is indexed by node, 0 where not asked.  A path from x walks inside
-    x's component C in the lowest class l it uses, then on higher labels, so
-    merging class l gives R_l(x) = union of R_{l+1}(y) over y in C (Wu et
-    al., "Path problems in temporal graphs", VLDB 2014).
+    classes: (label, pairs, matching), ascending label; a matching is merged
+    in one pass, any other class by `_merge_class`.  starts maps a start
+    label s to the nodes (each listed once) whose reach over labels >= s is
+    wanted; the result is indexed by node, 0 where not asked.  A path from x
+    walks inside x's component C in the lowest class l it uses, then on
+    higher labels, so merging class l gives R_l(x) = union of R_{l+1}(y) over
+    y in C (Wu et al., "Path problems in temporal graphs", VLDB 2014).
     """
     global _REACH_EVALS
     _REACH_EVALS += 1
@@ -205,8 +226,15 @@ def _reach_sweep(
     out = [0] * n
     i = len(classes) - 1
     for s in sorted(starts, reverse=True):
-        while i >= 0 and classes[i][0] >= s:
-            _merge_class(reached, classes[i][1])
+        while i >= 0:
+            label, pairs, matching = classes[i]
+            if label < s:
+                break
+            if matching:
+                for u, v in pairs:
+                    reached[u] = reached[v] = reached[u] | reached[v]
+            else:
+                _merge_class(reached, pairs)
             i -= 1
         for x in starts[s]:
             out[x] = reached[x]
@@ -224,7 +252,7 @@ def _mono_spanning_tree(g: TemporalGraph) -> tuple[int, list[Pair]] | None:
     The tree is the lexicographic Kruskal forest of that class: its pairs in
     ascending order, each kept when it joins two components.
     """
-    for label, pairs in g._label_classes():
+    for label, pairs, _ in g._label_classes():
         parent = list(range(g.n))
 
         def find(a: int) -> int:

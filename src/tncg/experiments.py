@@ -489,7 +489,11 @@ def _range_rules(scenario: str, cfg: dict) -> list[tuple[str, bool, str]]:
     generators enforce.  A key is checked even where no instance draws from
     it, so whether a config runs does not depend on its seed."""
     if scenario == "hypercube-poa":
-        return [("dims", all(d >= 3 for d in cfg["dims"]), "every dimension must be >= 3")]
+        return [
+            ("dims", all(d >= 3 for d in cfg["dims"]), "every dimension must be >= 3"),
+            ("dims", all(d <= 8 for d in cfg["dims"]),
+             "every dimension must be <= 8; the host of dimension d has 2^d nodes"),
+        ]
     if scenario == "t2-tightness":
         return [("n_values", all(n >= 5 for n in cfg["n_values"]), "every n must be >= 5")]
     if scenario == "reduction-audit":

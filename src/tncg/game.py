@@ -13,11 +13,12 @@ that scalar view for reporting.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import total_ordering
 from typing import Iterable, Mapping, Sequence
 
-from .core import TemporalGraph, _reach_sweep
+from .core import TemporalGraph, _is_matching, _reach_sweep
 
 
 @total_ordering
@@ -163,13 +164,16 @@ class _CreatedState:
     """A profile's created graph kept for repeated evaluation: its pairs
     grouped by host label, each pair once even when both arcs are bought.
 
-    A move patches only the moving agent's changed arcs.  buyers[x] holds the
-    agents that buy an arc to x, so x's pairs, and the classes that the
-    graph G - x filters, are read off S_x and buyers[x].  Each agent's
-    endpoints grouped by start label are cached on first use.
+    A move patches only the moving agent's changed arcs.  The classes are
+    kept as one list sorted by label, beside a parallel label list: a label
+    that gains its first pair or loses its last is bisected in or out, and
+    only a toggled label's entry, with its matching flag, is replaced.
+    buyers[x] holds the agents that buy an arc to x, so x's pairs, and the
+    classes that the graph G - x filters, are read off S_x and buyers[x].
+    Each agent's endpoints grouped by start label are cached on first use.
     """
 
-    __slots__ = ("n", "rows", "strategies", "buyers", "pairs", "_sorted", "_starts")
+    __slots__ = ("n", "rows", "strategies", "buyers", "pairs", "labels", "_classes", "_starts")
 
     def __init__(self, host: TemporalGraph, profile: StrategyProfile):
         n = self.n = host.n
@@ -177,52 +181,69 @@ class _CreatedState:
         self.strategies = list(profile.strategies)
         self.buyers: list[set[int]] = [set() for _ in range(n)]
         self.pairs: dict[int, dict[tuple[int, int], None]] = {}
-        self._sorted: list | None = None
         self._starts: list[dict[int, list[int]] | None] = [None] * n
         for v, w, _ in _labelled_arcs(host, profile):
             self._toggle(v, w, True)
+        # flags in one pass here: a rescan per toggle is quadratic in class size
+        self._classes = [(lab, ps, _is_matching(ps)) for lab, ps in sorted(self.pairs.items())]
+        self.labels = [lab for lab, _, _ in self._classes]
 
     def move(self, v: int, strategy: frozenset[int]) -> None:
         old = self.strategies[v]
         for w in old - strategy:
-            self._toggle(v, w, False)
+            self._refresh(self._toggle(v, w, False))
         for w in strategy - old:
-            self._toggle(v, w, True)
+            self._refresh(self._toggle(v, w, True))
         self.strategies[v] = strategy
 
-    def _toggle(self, v: int, w: int, add: bool) -> None:
-        """Add or drop arc (v, w); its pair changes only without a twin (w, v)."""
+    def _toggle(self, v: int, w: int, add: bool) -> int:
+        """Add or drop arc (v, w); its pair changes only without a twin (w, v).
+        Returns the pair's label when it changed, else 0."""
         (self.buyers[w].add if add else self.buyers[w].discard)(v)
         if w in self.buyers[v]:
-            return
+            return 0
         label = self.rows[v][w]
         pair = (v, w) if v < w else (w, v)
         if add:
-            if label not in self.pairs:
-                self.pairs[label] = {}
-                self._sorted = None
-            self.pairs[label][pair] = None
+            self.pairs.setdefault(label, {})[pair] = None
         else:
             del self.pairs[label][pair]
             if not self.pairs[label]:
                 del self.pairs[label]
-                self._sorted = None
+        return label
+
+    def _refresh(self, label: int) -> None:
+        """Bring the entry of `label` in the sorted class list up to date."""
+        if not label:
+            return
+        i = bisect_left(self.labels, label)
+        listed = i < len(self.labels) and self.labels[i] == label
+        pairs = self.pairs.get(label)
+        if pairs is None:
+            del self.labels[i], self._classes[i]
+        elif listed:
+            self._classes[i] = (label, pairs, _is_matching(pairs))
+        else:
+            self.labels.insert(i, label)
+            self._classes.insert(i, (label, pairs, _is_matching(pairs)))
 
     def classes(self, skip: int | None = None) -> list:
-        """(label, pairs) ascending, as `core._reach_sweep` reads them; none
-        at agent `skip` (the graph G - skip) when it is given."""
-        # the cached list holds the class dicts themselves, so it goes stale
-        # only when a label gains its first pair or loses its last
-        if self._sorted is None:
-            self._sorted = sorted(self.pairs.items())
+        """(label, pairs, matching) ascending, as `core._reach_sweep` reads
+        them; none at agent `skip` (the graph G - skip) when it is given.
+
+        Without `skip` this is the kept list itself.  With it, a copy where
+        only the labels of skip's pairs are filtered; their flags stay valid,
+        since any subset of a matching is a matching."""
         if skip is None:
-            return self._sorted
+            return self._classes
         row = self.rows[skip]
         hit = {row[w] for w in self.strategies[skip]} | {row[u] for u in self.buyers[skip]}
-        return [
-            (label, [p for p in pairs if skip not in p]) if label in hit else (label, pairs)
-            for label, pairs in self._sorted
-        ]
+        out = list(self._classes)
+        for label in hit:
+            i = bisect_left(self.labels, label)
+            _, pairs, matching = out[i]
+            out[i] = (label, [p for p in pairs if skip not in p], matching)
+        return out
 
     def starts(self, v: int) -> dict[int, list[int]]:
         """v's endpoints grouped by the label of their pair with v."""

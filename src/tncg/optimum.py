@@ -24,17 +24,14 @@ class _EdgeMasks:
         self.host = host
         self.full = (1 << host.n) - 1
         classes = host._label_classes()
-        self.bit = {p: 1 << i for i, p in enumerate(p for _, ps in classes for p in ps)}
+        self.bit = {p: 1 << i for i, p in enumerate(p for _, ps, _ in classes for p in ps)}
         self.all = (1 << len(self.bit)) - 1
-        # (mask of the class, its edges as (bit, u, v), whether they form a
-        # matching), ascending label
+        # (mask of the class, its edges as (bit, u, v), the host's matching
+        # flag), ascending label
         self.classes = []
-        for _, pairs in classes:
+        for _, pairs, matching in classes:
             es = [(self.bit[p], *p) for p in pairs]
-            ends = [x for p in pairs for x in p]
-            self.classes.append(
-                (sum(b for b, _, _ in es), es, len(set(ends)) == len(ends))
-            )
+            self.classes.append((sum(b for b, _, _ in es), es, matching))
 
     def connected(self, sub: int) -> bool:
         """True iff the edges in `sub` leave the nodes temporally connected.

@@ -12,7 +12,8 @@ does not depend on v's own strategy.  v's reach under strategy S is then
 strategy is a few bitmask unions and exact best response is a minimum set
 cover over fixed candidate masks.  All n-1 covers come from one reach sweep
 over the created graph's label classes without v, each endpoint w read off
-at its own start label({v, w}); greedy scores each toggle by one popcount.
+at its own start label({v, w}); greedy scores each add by one popcount and
+looks at drops only when no add improves.
 
 A view reads a `game._CreatedState`: the label classes, kept across a whole
 dynamics run and shared by every view of one check, with labels from the
@@ -79,31 +80,27 @@ class _AgentView:
     def greedy(self) -> tuple[frozenset[int], CostVector]:
         """Best single-arc toggle and its cost; (current, cur_cost) if none improves.
 
-        Adding w reaches cur_mask | covers[w], dropping it reaches dropped()[w].
-        Ties go to the lexicographically smallest resulting set, built as a
-        tuple only for a candidate that improves on or ties with the best.
+        An add costs one more arc, so it improves only by reaching more
+        nodes, and then it beats every drop, which cannot reach more.  The
+        add reaching most wins, ties to the smallest w (the lexicographically
+        smallest set).  Only if no add improves is `dropped` built: a drop
+        improves when it keeps cur_mask, and the largest such w gives the
+        lexicographically smallest set.
         """
-        n, v, covers, current = self.n, self.v, self.covers, self.current
-        k = len(current)
-        dropped = self.dropped()
-        cur = self.cur_mask
-        best_u, best_e = self.cur_cost.unreached, k
-        best: tuple[int, ...] | None = None
-        for w in range(n):
-            if w == v:
-                continue
-            mask = dropped.get(w)
-            if mask is None:
-                u, e = n - (cur | covers[w]).bit_count(), k + 1
-            else:
-                u, e = n - mask.bit_count(), k - 1
-            if u < best_u or (u == best_u and (e < best_e or (e == best_e and best is not None))):
-                cand = tuple(sorted(current ^ {w}))
-                if u != best_u or e != best_e or cand < best:
-                    best_u, best_e, best = u, e, cand
-        if best is None:
-            return current, self.cur_cost
-        return frozenset(best), CostVector(best_u, best_e)
+        current, cur = self.current, self.cur_mask
+        # covers[v] is 0, and the cover of a current endpoint lies within
+        # cur_mask, so neither can win an add
+        best_w, best_pop = -1, cur.bit_count()
+        for w, cover in enumerate(self.covers):
+            pop = (cur | cover).bit_count()
+            if pop > best_pop:
+                best_w, best_pop = w, pop
+        if best_w >= 0:
+            return current | {best_w}, CostVector(self.n - best_pop, len(current) + 1)
+        for w, mask in sorted(self.dropped().items(), reverse=True):
+            if mask == cur:
+                return current - {w}, CostVector(self.cur_cost.unreached, len(current) - 1)
+        return current, self.cur_cost
 
     def best(self, rule: str, budget_cap: int) -> tuple[frozenset[int], CostVector]:
         """The best strategy under rule ("greedy" or "exact") and its cost."""

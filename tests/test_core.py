@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tncg import (
+    StrategyProfile,
     TemporalGraph,
     compress_labels,
     is_temporal_path,
@@ -16,7 +17,9 @@ from tncg import (
     set_to_mask,
 )
 from tncg.core import reach_evaluations, reset_reach_evaluations
-from tncg.optimum import _EdgeMasks
+from tncg.game import _CreatedState
+from tncg.optimum import _EdgeMasks, _minimal_keep
+from tncg.responses import _AgentView
 
 from oracles import brute_connected, brute_reach
 
@@ -32,6 +35,41 @@ def random_graph(rng, n, t, p=0.5):
             if rng.random() < p:
                 edges[(u, v)] = rng.randint(1, t)
     return TemporalGraph(n, edges)
+
+
+def matching_classes_graph(rng, n, complete):
+    """Labels 1, 2, ... in turn take a random matching of 3..n//2 pairs
+    from the pairs left, fewer only when those run out; one label in four
+    also takes a pair that touches its matching, so it is no matching.  A
+    complete graph uses every pair, otherwise half of them are left out."""
+    left = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(left)
+    stop = 0 if complete else len(left) // 2
+    edges = {}
+    label = 0
+    while len(left) > stop:
+        label += 1
+        size = rng.randint(3, n // 2)
+        used, rest = set(), []
+        for p in left:
+            if len(used) < 2 * size and not used & set(p):
+                edges[p] = label
+                used |= set(p)
+            else:
+                rest.append(p)
+        if rng.random() < 0.25:
+            touching = [p for p in rest if used & set(p)]
+            if touching:
+                edges[touching[0]] = label
+                rest.remove(touching[0])
+        left = rest
+    return TemporalGraph(n, edges)
+
+
+def distinct_label_graph(rng, n):
+    """A temporal clique: every pair of K_n has its own label."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return TemporalGraph(n, dict(zip(pairs, rng.sample(range(1, len(pairs) + 1), len(pairs)))))
 
 
 def test_reach_ascending_path():
@@ -187,6 +225,74 @@ def test_reach_and_edge_masks_on_long_label_classes():
         assert got == brute_connected(g), g.edges
         connected += got
     assert longest >= 12 and 0 < connected < 200
+
+
+def test_reach_and_edge_masks_on_matching_classes():
+    # classes that are matchings of three or more pairs, some with one pair
+    # more, and temporal cliques, where every class is a single pair: the
+    # one-pass branch of both sweeps does most of the work here
+    rng = random.Random(1207)
+    flagged = unflagged = 0
+    outcomes = set()
+    for trial in range(60):
+        n = rng.randint(8, 14)
+        if trial % 3 == 2:
+            g = distinct_label_graph(rng, n)
+        else:
+            g = matching_classes_graph(rng, n, complete=trial % 3 == 1)
+        for _, pairs, matching in g._label_classes():
+            assert matching == (len({x for p in pairs for x in p}) == 2 * len(pairs))
+            flagged += matching and len(pairs) >= 3
+            unflagged += not matching
+        s = rng.randint(1, g.lifetime)
+        upper = TemporalGraph(n, {p: lab for p, lab in g.edges.items() if lab >= s})
+        for u in range(n):
+            assert mask_to_set(g.reach_mask(u)) == brute_reach(g, u)
+            assert mask_to_set(g.reach_mask(u, start_label=s)) == brute_reach(upper, u)
+        masks = _EdgeMasks(g)
+        subs = [masks.all, rng.getrandbits(g.edge_count)]
+        if masks.connected(masks.all):
+            # a minimal spanner and each one-edge cut of it sit on the edge
+            # of connectivity, where a merge that stops early shows
+            keep, _ = _minimal_keep(masks)
+            subs += [keep] + [keep ^ b for b in masks.bit.values() if keep & b]
+        for sub in subs:
+            kept = TemporalGraph(n, {p: lab for p, lab in g.edges.items() if sub & masks.bit[p]})
+            got = masks.connected(sub)
+            assert got == brute_connected(kept), (g.edges, sub)
+            outcomes.add(got)
+    assert flagged >= 100 and unflagged >= 50 and outcomes == {True, False}
+
+
+def test_created_state_moves_on_matching_classes_match_fresh_state():
+    # the kept class list, patched move by move, against a state built
+    # from the profile at once: the same classes and flags, the same covers
+    rng = random.Random(1208)
+    flagged = unflagged = 0
+    for trial in range(16):
+        n = rng.randint(8, 14)
+        if trial % 2:
+            host = distinct_label_graph(rng, n)
+        else:
+            host = matching_classes_graph(rng, n, complete=True)
+        profile = StrategyProfile(n, [()] * n)
+        state = _CreatedState(host, profile)
+        for step in range(4 * n):
+            v = rng.randrange(n)
+            others = [w for w in range(n) if w != v]
+            profile = profile.with_strategy(v, rng.sample(others, rng.randint(0, n // 2)))
+            state.move(v, profile[v])
+            if step % n:
+                continue
+            fresh = _CreatedState(host, profile)
+            assert state.classes() == fresh.classes()
+            for _, pairs, matching in state.classes():
+                flagged += matching and len(pairs) >= 3
+                unflagged += not matching
+            for x in range(n):
+                a, b = _AgentView(state, x), _AgentView(fresh, x)
+                assert (a.covers, a.in_mask, a.cur_cost) == (b.covers, b.in_mask, b.cur_cost)
+    assert flagged >= 20 and unflagged >= 5
 
 
 def test_reach_monotone_in_start_label():
