@@ -141,8 +141,13 @@ def _parse_schedule_arg(spec: str):
     if spec in ("round-robin", "random"):
         return spec
     if spec.startswith("file:"):
-        tokens = Path(spec[5:]).read_text().split()
-        return [int(tok) for tok in tokens]
+        path, schedule = spec[5:], []
+        for tok in Path(path).read_text().split():
+            try:
+                schedule.append(int(tok))
+            except ValueError:
+                raise ValueError(f"schedule file {path}: agent {tok!r} is not an integer") from None
+        return schedule
     raise ValueError(f"schedule must be round-robin, random, or file:PATH, got {spec!r}")
 
 

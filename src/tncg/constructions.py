@@ -1,17 +1,19 @@
 """Instance generators: every named family plus random hosts.
 
+Every host comes from `_complete_host`, so it is complete with labels 1..k.
 Node numbering conventions are fixed per generator so outputs are
-deterministic and golden-testable.  Arc ownership is likewise fixed where the
-underlying claim does not depend on it.
+deterministic and golden-testable; both set-cover reductions take their set,
+element and incidence nodes from `_incidence_nodes`.  Arc ownership is
+likewise fixed where the underlying claim does not depend on it.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
-from .core import TemporalGraph, _mono_spanning_tree, compress_labels
+from .core import TemporalGraph, _mono_spanning_tree, norm_pair
 from .game import DirectedTemporalGraph, StrategyProfile, empty_profile
 
 
@@ -112,6 +114,33 @@ class ReductionLayout:
         }
 
 
+def _complete_host(n: int, label_of: Callable[[int, int], int]) -> TemporalGraph:
+    """Complete host whose labels are ranked onto 1..k as compress_labels does,
+    but before its one build, so it passes validate_host.  label_of(u, v) is
+    called once per pair u < v, in ascending pair order, as RNG draws need."""
+    edges = {(u, v): label_of(u, v) for u in range(n) for v in range(u + 1, n)}
+    rank = {label: i for i, label in enumerate(sorted(set(edges.values())), start=1)}
+    return TemporalGraph(n, {p: rank[label] for p, label in edges.items()})
+
+
+def _incidence_nodes(sc: SetCoverInstance, first: int):
+    """Node numbering shared by both reductions: set node of set i is
+    first+i-1, element nodes follow, then one node per (set, member)
+    incidence in set order, members ascending.  Returns the set-node and
+    element-node maps (1-based keys), the incidence map and the next free
+    node."""
+    m, k = sc.m, sc.k
+    set_node = {i: first - 1 + i for i in range(1, m + 1)}
+    elem_node = {j: first - 1 + m + j for j in range(1, k + 1)}
+    v_nodes = {}
+    nxt = first + m + k
+    for i in range(1, m + 1):
+        for j in sorted(sc.sets[i - 1]):
+            v_nodes[(i, j)] = nxt
+            nxt += 1
+    return set_node, elem_node, v_nodes, nxt
+
+
 def gen_hypercube(d: int) -> tuple[TemporalGraph, StrategyProfile]:
     """Hypercube lower-bound family on n = 2^d nodes.
 
@@ -122,17 +151,13 @@ def gen_hypercube(d: int) -> tuple[TemporalGraph, StrategyProfile]:
     if d < 3:
         raise ValueError(f"dimension must be >= 3, got {d}")
     n = 1 << d
-    edges = {}
-    strategies: list[set[int]] = [set() for _ in range(n)]
-    for u in range(n):
-        for v in range(u + 1, n):
-            x = u ^ v
-            if x & (x - 1) == 0:
-                edges[(u, v)] = x.bit_length()
-                strategies[u].add(v)
-            else:
-                edges[(u, v)] = d + 1
-    return TemporalGraph(n, edges), StrategyProfile(n, strategies)
+
+    def label_of(u: int, v: int) -> int:
+        x = u ^ v
+        return x.bit_length() if x & (x - 1) == 0 else d + 1
+
+    strategies = [{u | 1 << i for i in range(d) if not u >> i & 1} for u in range(n)]
+    return _complete_host(n, label_of), StrategyProfile(n, strategies)
 
 
 def gen_t2_family(n: int) -> tuple[TemporalGraph, StrategyProfile]:
@@ -145,20 +170,14 @@ def gen_t2_family(n: int) -> tuple[TemporalGraph, StrategyProfile]:
     """
     if n < 5:
         raise ValueError(f"need n >= 5, got {n}")
-    edges = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (u, v) == (1, 2) or (u == 0 and v >= 3):
-                edges[(u, v)] = 1
-            else:
-                edges[(u, v)] = 2
+    host = _complete_host(n, lambda u, v: 1 if (u, v) == (1, 2) or (u == 0 and v >= 3) else 2)
     strategies: list[set[int]] = [set() for _ in range(n)]
     strategies[0] = {1}
     strategies[1] = {2}
     strategies[2] = set(range(3, n))
     for j in range(3, n):
         strategies[j] = {0}
-    return TemporalGraph(n, edges), StrategyProfile(n, strategies)
+    return host, StrategyProfile(n, strategies)
 
 
 def gen_br_cycle() -> tuple[TemporalGraph, StrategyProfile, list[int]]:
@@ -179,10 +198,7 @@ def gen_br_cycle() -> tuple[TemporalGraph, StrategyProfile, list[int]]:
     for i in range(6):
         drawn[(i, 7)] = 4
     n = 8
-    edges = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            edges[(u, v)] = drawn.get((u, v), 5)
+    host = _complete_host(n, lambda u, v: drawn.get((u, v), 5))
     strategies: list[set[int]] = [set() for _ in range(n)]
     strategies[1] = {0, 2}
     strategies[3] = {2, 4}
@@ -191,7 +207,7 @@ def gen_br_cycle() -> tuple[TemporalGraph, StrategyProfile, list[int]]:
     strategies[4] = {6}
     strategies[7] = {0, 1, 2, 3, 4, 5}
     schedule = [0, 2, 4, 0, 2, 4]
-    return TemporalGraph(n, edges), StrategyProfile(n, strategies), schedule
+    return host, StrategyProfile(n, strategies), schedule
 
 
 def gen_reduction_br(sc: SetCoverInstance) -> tuple[TemporalGraph, StrategyProfile, ReductionLayout]:
@@ -203,27 +219,11 @@ def gen_reduction_br(sc: SetCoverInstance) -> tuple[TemporalGraph, StrategyProfi
     set nodes and connects each incidence node to its set and element; every
     undirected edge is bought by its smaller endpoint, and x buys nothing.
     """
-    m, k = sc.m, sc.k
-    set_node = {i: i for i in range(1, m + 1)}
-    elem_node = {j: m + j for j in range(1, k + 1)}
-    v_nodes = {}
-    nxt = m + k + 1
-    for i in range(1, m + 1):
-        for j in sorted(sc.sets[i - 1]):
-            v_nodes[(i, j)] = nxt
-            nxt += 1
-    n = nxt
-    label_one: set[tuple[int, int]] = set()
-    for w in range(1, n):
-        label_one.add((0, w))
-    for (i, j), node in v_nodes.items():
-        label_one.add(tuple(sorted((set_node[i], node))))
-    edges = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            edges[(u, v)] = 1 if (u, v) in label_one else 2
+    set_node, elem_node, v_nodes, n = _incidence_nodes(sc, 1)
+    label_one = {norm_pair(set_node[i], node) for (i, _), node in v_nodes.items()}
+    host = _complete_host(n, lambda u, v: 1 if u == 0 or (u, v) in label_one else 2)
     strategies: list[set[int]] = [set() for _ in range(n)]
-    for i in range(1, m):
+    for i in range(1, sc.m):
         strategies[set_node[i]].add(set_node[i + 1])
     for (i, j), node in v_nodes.items():
         strategies[set_node[i]].add(node)        # set node is the smaller index
@@ -231,12 +231,12 @@ def gen_reduction_br(sc: SetCoverInstance) -> tuple[TemporalGraph, StrategyProfi
     layout = ReductionLayout(
         x=0,
         a=None,
-        set_nodes=[set_node[i] for i in range(1, m + 1)],
-        elem_nodes=[elem_node[j] for j in range(1, k + 1)],
+        set_nodes=set_node.values(),
+        elem_nodes=elem_node.values(),
         v_nodes=v_nodes,
         w_nodes={},
     )
-    return TemporalGraph(n, edges), StrategyProfile(n, strategies), layout
+    return host, StrategyProfile(n, strategies), layout
 
 
 def gen_reduction_ne(sc: SetCoverInstance) -> tuple[TemporalGraph, StrategyProfile, ReductionLayout]:
@@ -246,7 +246,7 @@ def gen_reduction_ne(sc: SetCoverInstance) -> tuple[TemporalGraph, StrategyProfi
     one w node per set outside the cover.  x buys exactly the cover; every
     other agent plays a best response by construction.  Labels follow the
     three-case scheme over {1,2,3}; when the cover is all of M no label-1
-    pair exists and the labels are compressed to stay consecutive.
+    pair exists and the labels compress to 1..2.
 
     The equivalence needs every set to be a proper subset of the universe: a
     full set outside the cover reaches all elements through its own incidence
@@ -258,47 +258,31 @@ def gen_reduction_ne(sc: SetCoverInstance) -> tuple[TemporalGraph, StrategyProfi
     m, k = sc.m, sc.k
     cover = sc.cover
     outside = [i for i in range(1, m + 1) if i not in cover]
-    set_node = {i: 1 + i for i in range(1, m + 1)}
-    elem_node = {j: m + 1 + j for j in range(1, k + 1)}
-    v_nodes = {}
-    nxt = m + k + 2
-    for i in range(1, m + 1):
-        for j in sorted(sc.sets[i - 1]):
-            v_nodes[(i, j)] = nxt
-            nxt += 1
-    w_nodes = {}
-    for i in outside:
-        w_nodes[i] = nxt
-        nxt += 1
-    n = nxt
+    set_node, elem_node, v_nodes, nxt = _incidence_nodes(sc, 2)
+    w_nodes = {i: nxt + r for r, i in enumerate(outside)}
+    n = nxt + len(outside)
     x, a = 0, 1
-
-    def pair(u, v):
-        return (u, v) if u < v else (v, u)
 
     label = {}
     # case 1: a set outside the cover with x, its w node, or one of its
     # incidence nodes
     for i in outside:
-        label[pair(set_node[i], x)] = 1
-        label[pair(set_node[i], w_nodes[i])] = 1
+        label[norm_pair(set_node[i], x)] = 1
+        label[norm_pair(set_node[i], w_nodes[i])] = 1
         for j in sorted(sc.sets[i - 1]):
-            label[pair(set_node[i], v_nodes[(i, j)])] = 1
+            label[norm_pair(set_node[i], v_nodes[(i, j)])] = 1
     # case 2: a cover set with x or one of its incidence nodes; w-to-x;
     # last element to a; the element chain
     for i in sorted(cover):
-        label[pair(set_node[i], x)] = 2
+        label[norm_pair(set_node[i], x)] = 2
         for j in sorted(sc.sets[i - 1]):
-            label[pair(set_node[i], v_nodes[(i, j)])] = 2
+            label[norm_pair(set_node[i], v_nodes[(i, j)])] = 2
     for i in outside:
-        label[pair(w_nodes[i], x)] = 2
-    label[pair(elem_node[k], a)] = 2
+        label[norm_pair(w_nodes[i], x)] = 2
+    label[norm_pair(elem_node[k], a)] = 2
     for j in range(1, k):
-        label[pair(elem_node[j], elem_node[j + 1])] = 2
-    edges = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            edges[(u, v)] = label.get((u, v), 3)
+        label[norm_pair(elem_node[j], elem_node[j + 1])] = 2
+    host = _complete_host(n, lambda u, v: label.get((u, v), 3))
 
     strategies: list[set[int]] = [set() for _ in range(n)]
     strategies[x] = {set_node[i] for i in sorted(cover)}
@@ -313,14 +297,11 @@ def gen_reduction_ne(sc: SetCoverInstance) -> tuple[TemporalGraph, StrategyProfi
         strategies[set_node[i]].add(w_nodes[i])
         strategies[w_nodes[i]].add(x)
 
-    host = TemporalGraph(n, edges)
-    if not outside:
-        host = compress_labels(host)
     layout = ReductionLayout(
         x=x,
         a=a,
-        set_nodes=[set_node[i] for i in range(1, m + 1)],
-        elem_nodes=[elem_node[j] for j in range(1, k + 1)],
+        set_nodes=set_node.values(),
+        elem_nodes=elem_node.values(),
         v_nodes=v_nodes,
         w_nodes=w_nodes,
     )
@@ -373,35 +354,30 @@ def gen_random_host(n: int, t: int, seed: int) -> TemporalGraph:
     if not (1 <= t <= max_t):
         raise ValueError(f"need 1 <= t <= {max_t}, got {t}")
     rng = random.Random(seed)
-    edges = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            edges[(u, v)] = rng.randint(1, t)
-    return compress_labels(TemporalGraph(n, edges))
+    return _complete_host(n, lambda u, v: rng.randint(1, t))
+
+
+def _sample_arcs(n: int, arc_count: int, rng: random.Random) -> list[tuple[int, int]]:
+    """arc_count distinct ordered pairs of distinct nodes, uniformly sampled."""
+    population = [(u, v) for u in range(n) for v in range(n) if u != v]
+    if not (0 <= arc_count <= len(population)):
+        raise ValueError(f"arc count {arc_count} out of range")
+    return rng.sample(population, arc_count)
 
 
 def gen_random_profile(host: TemporalGraph, arc_count: int, seed: int) -> StrategyProfile:
     """Uniformly sampled distinct arcs; experiment plumbing."""
-    population = [
-        (u, v) for u in range(host.n) for v in range(host.n) if u != v
-    ]
-    if not (0 <= arc_count <= len(population)):
-        raise ValueError(f"arc count {arc_count} out of range")
-    rng = random.Random(seed)
     strategies: list[set[int]] = [set() for _ in range(host.n)]
-    for (u, v) in rng.sample(population, arc_count):
+    for (u, v) in _sample_arcs(host.n, arc_count, random.Random(seed)):
         strategies[u].add(v)
     return StrategyProfile(host.n, strategies)
 
 
 def gen_random_directed(n: int, arc_count: int, t: int, seed: int):
     """Standalone random directed temporal graph; experiment plumbing."""
-    population = [(u, v) for u in range(n) for v in range(n) if u != v]
-    if not (0 <= arc_count <= len(population)):
-        raise ValueError(f"arc count {arc_count} out of range")
     rng = random.Random(seed)
     arcs = {}
-    for (u, v) in rng.sample(population, arc_count):
+    for (u, v) in _sample_arcs(n, arc_count, rng):
         arcs[(u, v)] = rng.randint(1, t)
     return DirectedTemporalGraph(n, arcs)
 

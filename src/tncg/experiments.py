@@ -19,6 +19,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from pathlib import Path
 from typing import Callable, Union
 
@@ -34,8 +35,8 @@ from .constructions import (
     gen_t2_equilibrium,
     gen_t2_family,
     SetCoverInstance,
+    _complete_host,
 )
-from .core import TemporalGraph, compress_labels
 from .dynamics import OUTCOME_CYCLE, OUTCOME_GE, final_profile, run_dynamics
 from .equilibrium import (
     _dense_below_threshold,
@@ -332,9 +333,8 @@ def _t2_instance(args):
     idx, inst_seed, cfg = args
     if inst_seed is None:
         part, n, code = "exhaustive", cfg["exhaustive_n"], idx
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        edges = {p: 1 + ((code >> bit) & 1) for bit, p in enumerate(pairs)}
-        host = compress_labels(TemporalGraph(n, edges))
+        bits = (1 + ((code >> b) & 1) for b in count())   # pair number b gets bit b
+        host = _complete_host(n, lambda u, v: next(bits))
     else:
         rng = random.Random(inst_seed)
         part, n = "random", rng.randint(cfg["n_min"], cfg["n_max"])

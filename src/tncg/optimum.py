@@ -148,12 +148,11 @@ def minimum_spanner(
         if count + len(parts) - 1 >= best[1]:
             return
         if included:
-            # more than one static component cannot be temporally connected
+            # more than one static component cannot be temporally connected;
+            # at idx == m inc is its parent's connected inc | rest, so this returns
             if len(parts) == 1 and connected(inc):
                 best[0] = inc
                 best[1] = count
-                return
-            if idx == m:
                 return
         else:
             if idx == m or not connected(inc | rest[idx]):

@@ -122,9 +122,8 @@ class _AgentView:
             if w != self.v and self.covers[w] & universe:
                 cands.append((w, self.covers[w] & universe))
         cap = len(current) - 1 if self.cur_cost.unreached == 0 else len(cands)
-        max_pop = max(((m & universe).bit_count() for _, m in cands), default=0)
-        if max_pop == 0:
-            return current, self.cur_cost
+        # each w in universe covers itself on a complete host: cands is non-empty
+        max_pop = max(m.bit_count() for _, m in cands)
         lower = -(-universe.bit_count() // max_pop)
         state = [0, budget_cap]
         found: int | None = None

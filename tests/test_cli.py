@@ -37,10 +37,11 @@ def test_gen_t2family_and_check_stable(tmp_path, capsys):
     code, _, _ = run(capsys, "gen", "t2family", "--n", "7",
                      "-o", str(host), "--profile", str(prof))
     assert code == 0
-    code, out, _ = run(capsys, "check", "--host", str(host),
-                       "--profile", str(prof), "--mode", "ne")
-    assert code == 0
-    assert json.loads(out)["stable"] is True
+    for mode in ("ne", "ge"):
+        code, out, _ = run(capsys, "check", "--host", str(host),
+                           "--profile", str(prof), "--mode", mode)
+        assert code == 0
+        assert json.loads(out)["stable"] is True
 
 
 def test_gen_brcycle_schedule_and_dynamics(tmp_path, capsys):
@@ -63,6 +64,11 @@ def test_gen_brcycle_schedule_and_dynamics(tmp_path, capsys):
     assert payload["period"] == 6
     data = json.loads(trace.read_text())
     assert len(data["moves"]) == 6
+    sched.write_text("0 1 x\n")
+    code, out, err = run(capsys, "dynamics", "--host", str(host),
+                         "--schedule", f"file:{sched}")
+    assert code == 2 and out == ""
+    assert one_error_line(err) == f"error: schedule file {sched}: agent 'x' is not an integer"
 
 
 def test_gen_random_deterministic(tmp_path, capsys):
@@ -159,11 +165,13 @@ def test_poa_stable_and_unstable(tmp_path, capsys):
     host = tmp_path / "h.tg"
     prof = tmp_path / "p.tsp"
     run(capsys, "gen", "hypercube", "--dim", "3", "-o", str(host), "--profile", str(prof))
-    code, out, _ = run(capsys, "poa", "--host", str(host), "--profile", str(prof))
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["poa"] == {"num": 12, "den": 7}
-    assert payload["optimum"] == 7
+    for mode in ("ne", "ge"):
+        code, out, _ = run(capsys, "poa", "--host", str(host), "--profile", str(prof),
+                           "--mode", mode)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["poa"] == {"num": 12, "den": 7}
+        assert payload["optimum"] == 7
     # empty profile is wildly unstable
     empty = tmp_path / "empty.tsp"
     empty.write_text("")

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -191,3 +193,44 @@ def test_random_setcover_is_coverable():
     a = gen_random_setcover(8, 6, 777)
     b = gen_random_setcover(8, 6, 777)
     assert a.sets == b.sets and a.k == b.k
+
+
+def _generator_outputs():
+    """Every generator's output as JSON-ready records: hosts with their edge
+    insertion order, profiles, layouts and directed graphs."""
+    def host_rec(host):
+        return [host.n, [[u, v, label] for (u, v), label in host.edges.items()]]
+
+    for d in range(3, 8):
+        host, profile = gen_hypercube(d)
+        yield host_rec(host), profile.canonical()
+    for n in range(5, 13):
+        host, profile = gen_t2_family(n)
+        yield host_rec(host), profile.canonical()
+    host, profile, schedule = gen_br_cycle()
+    yield host_rec(host), profile.canonical(), schedule
+    rng = random.Random(4242)
+    for _ in range(60):
+        sc = gen_random_setcover(6, 5, rng.randrange(10**6))
+        host, profile, layout = gen_reduction_br(sc)
+        yield host_rec(host), profile.canonical(), layout.as_dict()
+        # the all-sets cover leaves no set outside, the compressing case
+        for cover in (sc.min_cover()[1], range(1, sc.m + 1)):
+            covered = SetCoverInstance(sc.k, sc.sets, cover)
+            host, profile, layout = gen_reduction_ne(covered)
+            yield host_rec(host), profile.canonical(), layout.as_dict()
+    for n in range(2, 31):
+        pairs = n * (n - 1) // 2
+        host = gen_random_host(n, rng.randint(1, pairs), rng.randrange(10**6))
+        profile = gen_random_profile(host, rng.randint(0, 2 * pairs), rng.randrange(10**6))
+        g = gen_random_directed(n, rng.randint(0, 2 * pairs), rng.randint(1, pairs),
+                                rng.randrange(10**6))
+        arcs = [[u, v, label] for (u, v), label in g.arcs.items()]
+        yield host_rec(host), profile.canonical(), arcs
+
+
+def test_generator_outputs_match_golden_digest():
+    digest = hashlib.sha256()
+    for record in _generator_outputs():
+        digest.update(json.dumps(record).encode() + b"\n")
+    assert digest.hexdigest() == "53fec1756915b1a000e43e41184bae9d7ce832c24e0f91b14da1233a8bb29484"

@@ -9,6 +9,7 @@ from tncg import (
     StrategyProfile,
     TemporalGraph,
     compress_labels,
+    is_minimal_spanner,
     is_temporal_path,
     is_temporal_spanner,
     is_temporally_connected,
@@ -168,6 +169,9 @@ def test_spanner_predicate_requires_subgraph():
     assert is_temporal_spanner(host, extra)
     disconnected = TemporalGraph(3, {(0, 1): 1})
     assert not is_temporal_spanner(host, disconnected)
+    assert is_minimal_spanner(host, sub)
+    assert not is_minimal_spanner(host, extra)          # (1, 2) can go
+    assert not is_minimal_spanner(host, disconnected)   # not a spanner
 
 
 def test_compress_labels_keeps_order_and_reach():

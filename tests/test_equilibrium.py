@@ -287,6 +287,7 @@ def test_ceil_sqrt_over():
 
 def test_find_large_node_and_verify():
     rng = random.Random(6)
+    lowered = 0
     for _ in range(5):
         g = gen_random_directed(36, 620, 4, rng.randrange(10**6))
         w = find_large_node(g)
@@ -298,6 +299,21 @@ def test_find_large_node_and_verify():
         outsider = next(v for v in range(36) if v not in w.members and (v, w.z) not in g.arcs)
         bad2 = type(w)(z=w.z, members=tuple(sorted(w.members[:-1] + (outsider,))), trimmed=w.trimmed)
         assert not verify_large_node(g, bad2)
+        # each E_u fault on its own: too few arcs, an arc to z, an arc
+        # labelled below the arc to z (members whose out-arcs allow one)
+        for u in w.members:
+            eu, z = w.trimmed[u], w.z
+
+            def with_eu(arcs):
+                return type(w)(z=z, members=w.members, trimmed={**w.trimmed, u: arcs})
+
+            assert not verify_large_node(g, with_eu(eu[:-1]))
+            assert not verify_large_node(g, with_eu(eu[1:] + ((u, z),)))
+            below = [a for a in g.arcs if a[0] == u and a[1] != z and g.arcs[a] < g.arcs[(u, z)]]
+            if below:
+                assert not verify_large_node(g, with_eu(eu[1:] + (below[0],)))
+                lowered += 1
+    assert lowered > 0
 
 
 def test_find_large_node_threshold_boundary():

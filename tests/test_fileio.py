@@ -170,13 +170,20 @@ def test_validate_files(tmp_path):
     weird = tmp_path / "notes.txt"
     weird.write_text("hello")
     missing = tmp_path / "gone.sc"
-    reports = validate_files([good, bad, weird, missing])
+    good_sc = tmp_path / "good.sc"
+    good_sc.write_text("3 2\n1 2\n3\ncover: 1 2\n")
+    bad_sc = tmp_path / "bad.sc"
+    bad_sc.write_text("3 2\n1 2\n4\n")
+    reports = validate_files([good, bad, weird, missing, good_sc, bad_sc])
     by_name = {r.path.rsplit("/", 1)[-1]: r for r in reports}
     assert by_name["good.tg"].ok and by_name["good.tg"].kind == "graph"
     assert not by_name["bad.tsp"].ok
     assert by_name["bad.tsp"].errors[0][0] == 1
     assert by_name["notes.txt"].kind == "unknown"
     assert not by_name["gone.sc"].ok
+    assert by_name["good.sc"].ok and by_name["good.sc"].kind == "setcover"
+    assert not by_name["bad.sc"].ok
+    assert by_name["bad.sc"].errors == [(3, "element 4 outside 1..3")]
     d = by_name["bad.tsp"].as_dict()
     assert d["errors"][0]["line"] == 1
 
