@@ -84,7 +84,8 @@ def run_dynamics(
     sequence.  rule: "greedy" or "exact".  Convergence means a full pass with
     no improving agent; after n consecutive quiet random activations a
     deterministic sweep confirms it.  Explicit schedules are replay tools:
-    exhausting one ends the run with the step-cap outcome.  max_steps caps
+    exhausting one ends the run with the step-cap outcome, and an empty one
+    raises ValueError, as it activates nobody.  max_steps caps
     applied moves (default 10 * n^2); a cap below 1 raises ValueError, as
     does budget_cap < 0.  One created-graph state, patched per move, serves
     the whole run.
@@ -104,6 +105,8 @@ def run_dynamics(
         schedule_name = schedule
     else:
         explicit = list(schedule)
+        if not explicit:
+            raise ValueError("schedule is empty")
         for v in explicit:
             if not (0 <= v < n):
                 raise ValueError(f"scheduled agent {v} out of range")

@@ -434,7 +434,10 @@ def _summary_extra(scenario: str, rows: list[dict]) -> dict:
     if scenario == "random-ge-sweep":
         outcomes = [r["outcome"] for r in rows]
         ge, cycles = outcomes.count(OUTCOME_GE), outcomes.count(OUTCOME_CYCLE)
-        return {"converged_ge": ge, "cycles": cycles, "other": len(rows) - ge - cycles}
+        # a converged row without an optimum is one whose search hit poa_budget
+        unpriced = sum(1 for r in rows if r["outcome"] == OUTCOME_GE and r["opt_size"] is None)
+        return {"converged_ge": ge, "cycles": cycles, "other": len(rows) - ge - cycles,
+                "poa_budget_exceeded": unpriced}
     if scenario == "freeze-relabel-audit":
         return {"ges_verified": sum(1 for r in rows if r["converged"])}
     if scenario == "t2-existence-sweep":

@@ -18,7 +18,7 @@ class _EdgeMasks:
     one int and no TemporalGraph is built until a spanner is returned.
     """
 
-    __slots__ = ("host", "full", "all", "bit", "classes")
+    __slots__ = ("host", "full", "all", "bit", "classes", "dense")
 
     def __init__(self, host: TemporalGraph):
         self.host = host
@@ -29,9 +29,16 @@ class _EdgeMasks:
         # (mask of the class, its edges as (bit, u, v), the host's matching
         # flag), ascending label
         self.classes = []
+        # per non-matching class: (shift, width mask, its pairs, deficit memo);
+        # a class's bits are contiguous, so its kept edges shift down to a key
+        self.dense = []
+        shift = 0
         for _, pairs, matching in classes:
             es = [(self.bit[p], *p) for p in pairs]
             self.classes.append((sum(b for b, _, _ in es), es, matching))
+            if not matching:
+                self.dense.append((shift, (1 << len(pairs)) - 1, pairs, {}))
+            shift += len(pairs)
 
     def connected(self, sub: int) -> bool:
         """True iff the edges in `sub` leave the nodes temporally connected.
@@ -55,6 +62,26 @@ class _EdgeMasks:
         # every mask lies within full, so the smallest equals it iff all do
         return min(reached) == self.full
 
+    def lower_bound(self, avail: int) -> int:
+        """A lower bound on the edges of any spanner within `avail`, given
+        that no label class of the host spans: max(n, 2n - 4 - D).
+
+        n holds since a spanning tree is single-label.  D sums h(k) over the
+        components of k >= 3 nodes of each label class restricted to
+        `avail`, h(3) = 1 and h(k) = k - 3 above; the gossip argument of
+        `minimum_spanner` needs n >= 4, and below 5 the n term wins anyway.
+        D is memoised per class on its kept edges.
+        """
+        n = self.host.n
+        d = 0
+        for shift, width, pairs, memo in self.dense:
+            key = avail >> shift & width
+            h = memo.get(key)
+            if h is None:
+                h = memo[key] = _deficit(pairs, key)
+            d += h
+        return max(n, 2 * n - 4 - d)
+
     def graph(self, sub: int, order) -> TemporalGraph:
         """The subgraph of the edges in `sub`, inserted in `order`."""
         edges = self.host.edges
@@ -62,6 +89,24 @@ class _EdgeMasks:
         return TemporalGraph(
             self.host.n, {p: edges[p] for p in order if sub & bit[p]}
         )
+
+
+def _deficit(pairs: list[Pair], key: int) -> int:
+    """Sum of h(k) over the components of the pairs picked by `key`'s bits:
+    h(k) = 0 for k = 2, 1 for k = 3, k - 3 for k >= 4.  That is how many more
+    two-party calls a gossip among a component's k nodes takes than the
+    fewest edges, k - 1, that join them."""
+    comp: dict[int, int] = {}       # node -> node mask of its component
+    for i, (u, v) in enumerate(pairs):
+        if key >> i & 1:
+            merged = comp.get(u, 1 << u) | comp.get(v, 1 << v)
+            todo = merged
+            while todo:
+                low = todo & -todo
+                comp[low.bit_length() - 1] = merged
+                todo ^= low
+    sizes = [c.bit_count() for c in set(comp.values())]
+    return sum(1 if k == 3 else k - 3 for k in sizes if k >= 3)
 
 
 def _minimal_keep(masks: _EdgeMasks) -> tuple[int, list[Pair]]:
@@ -99,18 +144,40 @@ def minimum_spanner(
     Returns the spanner and its size.  Any label class containing a spanning
     tree settles the instance at n-1 edges immediately.  Otherwise the
     incumbent is `minimal_spanner`'s answer, and edges are decided
-    include-then-exclude in lexicographic order, pruning branches that
-    cannot beat the incumbent (retained edges plus static components minus
-    one) and branches whose retained and undecided edges together are not
-    temporally connected.  budget_cap bounds search nodes; exceeding it
-    raises SearchSpaceExceeded, and budget_cap < 0 raises ValueError.
+    include-then-exclude, pruning branches that cannot beat the incumbent and
+    branches whose retained and undecided edges together are not temporally
+    connected.  budget_cap bounds search nodes; exceeding it raises
+    SearchSpaceExceeded, which names the bracket [root lower bound,
+    incumbent] the optimum lies in, and budget_cap < 0 raises ValueError.
+
+    Lower bound.  A branch cannot beat the incumbent if its retained edges
+    plus static components minus one reach it, or if the bound of
+    `_EdgeMasks.lower_bound` over its retained and undecided edges does.
+    That bound is max(n, 2n - 4 - D) for n >= 4 (n below).  n holds because
+    no class spans, and a spanning-tree spanner lies in one class.  For
+    2n - 4 - D, read a spanner S as a gossip schedule: in ascending label,
+    the nodes of each component of a label class of S pool what they know,
+    a conference call.  Replace each component with k nodes, which has at
+    least k - 1 edges, by a two-party gossip among its nodes: 1 call for
+    k = 2, 3 for k = 3, 2k - 4 for k >= 4.  The result is an all-to-all
+    gossip, which takes at least 2n - 4 calls (Baker & Shostak 1972).  So
+    |S| >= 2n - 4 minus the sum of h(k) = calls - (k - 1) over the
+    components of S, and that sum is at most D, whose components contain
+    them.  When the incumbent meets the bound at the root it is returned
+    without a search.
+
+    Branch order.  The edges of classes that are not matchings come first,
+    since breaking one of their components is what raises the bound; then
+    the rest, each group in lexicographic order.  Among spanners of the
+    minimum size the one returned depends on this order, so it may differ
+    from the one an earlier order found; the size does not.
 
     Search nodes are edge bitmasks, and each node runs at most one
     connectivity sweep: an exclude child keeps its parent's retained set,
     already found disconnected, and an include child's retained and
-    undecided edges are its parent's, already found connected.  Skipping
-    those repeats leaves the tree unchanged, so a budget counts the same
-    nodes as it always has.
+    undecided edges are its parent's, already found connected, with the
+    same bound.  An include child whose retained edges are fewer than the
+    bound is no spanner, so it runs no sweep.
     """
     _check_budget(budget_cap)
     masks = _EdgeMasks(host)
@@ -127,7 +194,12 @@ def minimum_spanner(
 
     keep, _ = _minimal_keep(masks)
     best = [keep, keep.bit_count()]
-    pairs = sorted(host.edges)
+    root = masks.lower_bound(masks.all)
+    lex = sorted(host.edges)
+    if best[1] == root:
+        return masks.graph(keep, lex), root
+    matching = {p: flag for _, ps, flag in host._label_classes() for p in ps}
+    pairs = sorted(lex, key=lambda p: matching[p])
     m = len(pairs)
     bits = [masks.bit[p] for p in pairs]
     # rest[i]: mask of the undecided edges pairs[i:]
@@ -135,27 +207,35 @@ def minimum_spanner(
     for i in range(m - 1, -1, -1):
         rest[i] = rest[i + 1] | bits[i]
     connected = masks.connected
+    lower_bound = masks.lower_bound
     nodes = [0]
 
-    def rec(idx: int, inc: int, count: int, parts: tuple, included: bool):
-        # parts: node masks of the static components of the retained edges
+    def rec(idx: int, inc: int, count: int, parts: tuple, bound: int | None):
+        # parts: node masks of the static components of the retained edges;
+        # bound: the parent's bound at an include child, None at an exclude
+        # child, whose undecided edges lost pairs[idx - 1]
         nodes[0] += 1
         if nodes[0] > budget_cap:
             raise SearchSpaceExceeded(
-                f"spanner search exceeded budget of {budget_cap} nodes"
+                f"spanner search exceeded budget of {budget_cap} nodes; "
+                f"optimum in [{root}, {best[1]}]"
             )
         # retained edges plus the static components still to join
         if count + len(parts) - 1 >= best[1]:
             return
-        if included:
+        if bound is not None:
             # more than one static component cannot be temporally connected;
             # at idx == m inc is its parent's connected inc | rest, so this returns
-            if len(parts) == 1 and connected(inc):
+            if len(parts) == 1 and count >= bound and connected(inc):
                 best[0] = inc
                 best[1] = count
                 return
         else:
-            if idx == m or not connected(inc | rest[idx]):
+            if idx == m:
+                return
+            avail = inc | rest[idx]
+            bound = lower_bound(avail)
+            if bound >= best[1] or not connected(avail):
                 return
         u, v = pairs[idx]
         pu = next(c for c in parts if c >> u & 1)
@@ -164,11 +244,11 @@ def minimum_spanner(
         else:
             pv = next(c for c in parts if c >> v & 1)
             joined = tuple(c for c in parts if c != pu and c != pv) + (pu | pv,)
-        rec(idx + 1, inc | bits[idx], count + 1, joined, True)
-        rec(idx + 1, inc, count, parts, False)
+        rec(idx + 1, inc | bits[idx], count + 1, joined, bound)
+        rec(idx + 1, inc, count, parts, None)
 
-    rec(0, 0, 0, tuple(1 << x for x in range(n)), False)
-    return masks.graph(best[0], pairs), best[1]
+    rec(0, 0, 0, tuple(1 << x for x in range(n)), None)
+    return masks.graph(best[0], lex), best[1]
 
 
 def poa_ratio(

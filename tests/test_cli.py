@@ -69,6 +69,11 @@ def test_gen_brcycle_schedule_and_dynamics(tmp_path, capsys):
                          "--schedule", f"file:{sched}")
     assert code == 2 and out == ""
     assert one_error_line(err) == f"error: schedule file {sched}: agent 'x' is not an integer"
+    sched.write_text("")
+    code, out, err = run(capsys, "dynamics", "--host", str(host),
+                         "--schedule", f"file:{sched}")
+    assert code == 2 and out == ""
+    assert one_error_line(err) == "error: schedule is empty"
 
 
 def test_gen_random_deterministic(tmp_path, capsys):
@@ -178,6 +183,26 @@ def test_poa_stable_and_unstable(tmp_path, capsys):
     code, out, _ = run(capsys, "poa", "--host", str(host), "--profile", str(empty))
     assert code == 1
     assert json.loads(out)["stable"] is False
+
+
+def test_budgeted_spanner_search_names_its_bracket(tmp_path, capsys):
+    # no label class spans and the minimal spanner's 5 edges exceed the root
+    # bound of 4, so the search branches and a zero budget gives up on [4, 5]
+    host = tmp_path / "h.tg"
+    prof = tmp_path / "p.tsp"
+    host.write_text("4 3\n0 1 1\n0 2 3\n0 3 3\n1 2 1\n1 3 2\n2 3 3\n")
+    code, out, _ = run(capsys, "spanner", "--host", str(host), "--exact")
+    assert code == 0 and json.loads(out)["size"] == 5
+    code, out, err = run(capsys, "spanner", "--host", str(host), "--exact", "--budget", "0")
+    assert code == 2 and out == ""
+    assert one_error_line(err).endswith("optimum in [4, 5]")
+    trace = tncg.run_dynamics(tncg.load_host(host), tncg.empty_profile(4))
+    assert trace.outcome == "converged-GE"
+    tncg.save_profile(tncg.final_profile(trace), prof)
+    code, out, err = run(capsys, "poa", "--host", str(host), "--profile", str(prof),
+                         "--mode", "ge", "--budget", "0")
+    assert code == 2 and out == ""
+    assert one_error_line(err).endswith("optimum in [4, 5]")
 
 
 def test_poa_on_one_node_host_is_exit_2(tmp_path, capsys):

@@ -135,6 +135,13 @@ def test_explicit_schedule_exhaustion_is_step_cap():
     assert trace.activations == 2
 
 
+def test_empty_explicit_schedule_is_rejected():
+    host = gen_random_host(5, 2, 42)
+    profile = StrategyProfile(5, [set() for _ in range(5)])
+    with pytest.raises(ValueError, match="schedule is empty"):
+        run_dynamics(host, profile, schedule=[])
+
+
 def test_explicit_schedule_range_check():
     host = gen_random_host(4, 1, 1)
     profile = StrategyProfile(4, [set() for _ in range(4)])

@@ -71,8 +71,8 @@ GOLDEN_SHA256 = {
         "60413bf230be186ea87d2dcbb91a8f20e8e01acc5e932b521bd1d4ef31f14902",
     ),
     "random-ge-sweep": (
-        "296ade4f96f5f28f22fafc0e4a43ff7730de774248bda811fbec2a107226e54e",
-        "5d84e42b8cc66b0a1d83dbec630fbdc75d8f3a30ccb8860c6a203833a112338c",
+        "2250248ca09bc16a12d2e0004a60620270c3f8b3830183b95de79af87325e21c",
+        "e67a3fa6c69cf92b0e322891e07cd39c85d8bb4407c7afe35a514c5117ec5525",
     ),
     "freeze-relabel-audit": (
         "02b7e73bd7bf60a77c5c60b5d74c413f33d9663096dafb037223119eaad0c50f",

@@ -64,30 +64,107 @@ def test_minimum_spanner_matches_brute_force():
     assert checked >= 60
 
 
-def test_spanners_match_brute_force_where_search_branches():
+def distinct_label_host(rng, n):
+    """A complete host whose labels are a shuffled 1..n(n-1)/2: every label
+    class is a single edge, a matching."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    labels = list(range(1, len(pairs) + 1))
+    rng.shuffle(labels)
+    return TemporalGraph(n, dict(zip(pairs, labels)))
+
+
+def branching_hosts(rng, n, t_range, count, distinct=False):
     # no label class spans, so the tree shortcut does not apply and the
     # search branches
-    def branching_hosts(rng, n, t_range, count):
-        out = []
-        while len(out) < count:
+    out = []
+    while len(out) < count:
+        if distinct:
+            host = distinct_label_host(rng, n)
+        else:
             host = gen_random_host(n, rng.randint(*t_range), rng.randrange(10**6))
-            if _mono_spanning_tree(host) is None and is_temporally_connected(host):
-                out.append(host)
-        return out
+        if _mono_spanning_tree(host) is None and is_temporally_connected(host):
+            out.append(host)
+    return out
 
+
+def class_component_sizes(masks, mask):
+    """Node counts of the components of each label class over `mask`."""
+    sizes = []
+    for _, pairs, _ in masks.host._label_classes():
+        comps = []
+        for u, v in (p for p in pairs if mask & masks.bit[p]):
+            touched = [c for c in comps if u in c or v in c]
+            comps = [c for c in comps if c not in touched] + [set().union({u, v}, *touched)]
+        sizes += [len(c) for c in comps]
+    return sizes
+
+
+def test_spanners_match_brute_force_where_search_branches():
     rng = random.Random(608)
-    # n=5 has 10 pairs, so t <= 10 on a host whose labels are exactly 1..t
-    hosts = branching_hosts(rng, 5, (8, 10), 30) + branching_hosts(rng, 6, (12, 12), 4)
+    # n=5 has 10 pairs, so t <= 10 on a host whose labels are exactly 1..t;
+    # lifetimes 3-6 give label classes of 3 and 4 nodes; on distinct-label
+    # hosts every class is one edge
+    hosts = (
+        branching_hosts(rng, 5, (8, 10), 30)
+        + branching_hosts(rng, 6, (12, 12), 4)
+        + branching_hosts(rng, 5, (3, 6), 20)
+        + branching_hosts(rng, 6, (4, 6), 4)
+        + branching_hosts(rng, 5, None, 10, distinct=True)
+        + branching_hosts(rng, 6, None, 2, distinct=True)
+    )
+    sizes = set()
     for host in hosts:
         spanner, size = minimum_spanner(host)
         assert size == spanner.edge_count == brute_minimum_spanner(host)
         assert is_temporal_spanner(host, spanner)
         assert is_minimal_spanner(host, minimal_spanner(host))
+        masks = _EdgeMasks(host)
+        sizes.update(class_component_sizes(masks, masks.all))
+    assert {3, 4} <= sizes
+
+
+def test_lower_bound_never_exceeds_the_optimum():
+    # the bound of any connected edge subset is at most the minimum spanner
+    # of that subset, checked on the full edge set and on random connected
+    # subsets of hosts where the search branches
+    rng = random.Random(609)
+    # optimum 7, below 2n - 4 = 8: label 1 forms two 3-node components, and
+    # without h(3) = 1 each the bound would exceed the optimum
+    conference = TemporalGraph(6, {
+        (0, 2): 1, (1, 2): 1, (3, 4): 1, (4, 5): 1, (1, 5): 2, (2, 5): 2, (0, 3): 3, (0, 4): 4,
+        (0, 5): 5, (2, 4): 5, (0, 1): 6, (3, 5): 6, (2, 3): 7, (1, 4): 8, (1, 3): 9,
+    })
+    hosts = (
+        [conference]
+        + branching_hosts(rng, 5, (3, 6), 25)
+        + branching_hosts(rng, 6, (4, 8), 5)
+        + branching_hosts(rng, 5, None, 8, distinct=True)
+        + branching_hosts(rng, 6, None, 2, distinct=True)
+    )
+    sizes = set()
+    for host in hosts:
+        masks = _EdgeMasks(host)
+        distinct = len(set(host.edges.values())) == host.edge_count
+        subs = [masks.all]
+        for _ in range(2):
+            sub = masks.all
+            for p in rng.sample(sorted(host.edges), host.edge_count):
+                if rng.random() < 0.4 and masks.connected(sub & ~masks.bit[p]):
+                    sub &= ~masks.bit[p]
+            subs.append(sub)
+        for sub in subs:
+            bound = masks.lower_bound(sub)
+            assert bound <= brute_minimum_spanner(masks.graph(sub, sorted(host.edges)))
+            # every class is a matching, so D = 0 and the gossip bound is exact
+            if distinct:
+                assert bound == 2 * host.n - 4
+            sizes.update(class_component_sizes(masks, sub))
+    assert {3, 4} <= sizes
 
 
 @pytest.mark.parametrize(
     "args, nodes, opt",
-    [((6, 12, 0), 2513, 7), ((6, 12, 1), 1881, 7), ((6, 12, 2), 1717, 7), ((7, 20, 2), 8421, 10)],
+    [((6, 12, 0), 809, 7), ((6, 12, 1), 313, 7), ((6, 12, 2), 497, 7), ((7, 20, 2), 6681, 10)],
 )
 def test_minimum_spanner_search_tree_is_pinned(args, nodes, opt):
     # the exact node count of the search: a budget one short must give up
@@ -128,17 +205,18 @@ def test_minimum_spanner_tree_shortcut():
 
 
 def test_minimum_spanner_budget():
-    # no label class spans, so the search actually branches
-    edges = {
-        (0, 1): 1, (2, 3): 1,
-        (0, 2): 2, (1, 3): 2,
-        (0, 3): 3, (1, 2): 3,
-    }
-    g = TemporalGraph(4, edges)
-    with pytest.raises(SearchSpaceExceeded):
+    # no label class spans, so the search branches: the minimal spanner has
+    # 5 edges and the root bound is n = 4
+    g = TemporalGraph(4, {(0, 1): 1, (1, 2): 1, (1, 3): 2, (0, 2): 3, (0, 3): 3, (2, 3): 3})
+    with pytest.raises(SearchSpaceExceeded, match=r"optimum in \[4, 5\]"):
         minimum_spanner(g, budget_cap=0)
     spanner, size = minimum_spanner(g)
-    assert size == brute_minimum_spanner(g)
+    assert size == brute_minimum_spanner(g) == 5
+    assert is_temporal_spanner(g, spanner)
+    # three perfect matchings: the incumbent meets 2n - 4 = 4 at the root
+    g = TemporalGraph(4, {(0, 1): 1, (2, 3): 1, (0, 2): 2, (1, 3): 2, (0, 3): 3, (1, 2): 3})
+    spanner, size = minimum_spanner(g, budget_cap=0)
+    assert size == brute_minimum_spanner(g) == 4
     assert is_temporal_spanner(g, spanner)
 
 
