@@ -9,7 +9,10 @@ Node sets are manipulated as bitmasks (Python ints) in the hot paths; the
 public API exchanges ordinary sets.  Reach sets come from `_reach_sweep`: one
 descending pass over the label classes serves any number of sources.  A class
 is a triple (label, pairs, matching); `matching` (`_is_matching`) says that
-no two pairs share an endpoint, so one pass over the class settles it.
+no two pairs share an endpoint, so one pass over the class settles it.  A
+sweep can leave one node out (G - skip) with no copy of the classes: skip's
+mask is reset to 0 after each matching, and other classes, where a path of
+one label could pass through skip, are merged without skip's pairs.
 """
 
 from __future__ import annotations
@@ -209,6 +212,7 @@ def _reach_sweep(
     n: int,
     classes: list[tuple[int, Iterable[Pair], bool]],
     starts: Mapping[int, Iterable[int]],
+    skip: int | None = None,
 ) -> list[int]:
     """Reach masks of many sources in one descending pass over label classes.
 
@@ -219,10 +223,18 @@ def _reach_sweep(
     walks inside x's component C in the lowest class l it uses, then on
     higher labels, so merging class l gives R_l(x) = union of R_{l+1}(y) over
     y in C (Wu et al., "Path problems in temporal graphs", VLDB 2014).
+
+    With skip the sweep runs on G - skip: skip's mask starts at 0 and is
+    reset to 0 after each matching (spare slot n takes that store without
+    skip).  Sound only for matchings, where skip's pair is the only pair at
+    either endpoint, so its partner gains nothing; in any other class skip
+    could pass a mask on, so that class is merged without skip's pairs.
     """
     global _REACH_EVALS
     _REACH_EVALS += 1
-    reached = [1 << x for x in range(n)]
+    reached = [1 << x for x in range(n)] + [0]
+    sink = n if skip is None else skip
+    reached[sink] = 0
     out = [0] * n
     i = len(classes) - 1
     for s in sorted(starts, reverse=True):
@@ -233,8 +245,9 @@ def _reach_sweep(
             if matching:
                 for u, v in pairs:
                     reached[u] = reached[v] = reached[u] | reached[v]
+                reached[sink] = 0
             else:
-                _merge_class(reached, pairs)
+                _merge_class(reached, pairs if skip is None else [p for p in pairs if skip not in p])
             i -= 1
         for x in starts[s]:
             out[x] = reached[x]

@@ -78,6 +78,12 @@ def parse_host(text: str, path: str = "<string>") -> TemporalGraph:
         g.validate_host()
     except ValueError as e:
         raise FormatError(path, None, str(e)) from None
+    lineno, header = next(_significant_lines(text))
+    t = int(header.split()[1])
+    if t != g.lifetime:
+        raise FormatError(
+            path, lineno, f"host lifetime {t} must equal the largest label {g.lifetime}"
+        )
     return g
 
 

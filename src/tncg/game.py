@@ -15,23 +15,19 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import total_ordering
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .core import TemporalGraph, _is_matching, _reach_sweep
 
 
-@total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class CostVector:
     unreached: int
     edges: int
 
     def key(self) -> tuple[int, int]:
         return (self.unreached, self.edges)
-
-    def __lt__(self, other: "CostVector") -> bool:
-        return self.key() < other.key()
 
     def numeric(self, k: int | float) -> int | float:
         """Scalar cost |edges| + k * unreached; equivalent order for k > n-1."""
@@ -161,89 +157,63 @@ def created_graph(host: TemporalGraph, profile: StrategyProfile) -> DirectedTemp
 
 
 class _CreatedState:
-    """A profile's created graph kept for repeated evaluation: its pairs
-    grouped by host label, each pair once even when both arcs are bought.
+    """A profile's created graph kept for repeated evaluation: `classes`
+    holds its pairs grouped by host label as (label, pairs, matching),
+    ascending label, each pair once even when both arcs are bought.  This is
+    the list `core._reach_sweep` reads, for every agent's view too, since the
+    sweep leaves the viewing agent out itself.
 
-    A move patches only the moving agent's changed arcs.  The classes are
-    kept as one list sorted by label, beside a parallel label list: a label
-    that gains its first pair or loses its last is bisected in or out, and
-    only a toggled label's entry, with its matching flag, is replaced.
-    buyers[x] holds the agents that buy an arc to x, so x's pairs, and the
-    classes that the graph G - x filters, are read off S_x and buyers[x].
-    Each agent's endpoints grouped by start label are cached on first use.
+    A move patches only the moving agent's changed arcs: a toggled pair's
+    label is bisected in the list, and that one entry is inserted, patched
+    with a fresh matching flag, or deleted with its last pair.  buyers[x]
+    holds the agents that buy an arc to x.  Each agent's endpoints grouped
+    by start label are cached on first use.
     """
 
-    __slots__ = ("n", "rows", "strategies", "buyers", "pairs", "labels", "_classes", "_starts")
+    __slots__ = ("n", "rows", "strategies", "buyers", "classes", "_starts")
 
     def __init__(self, host: TemporalGraph, profile: StrategyProfile):
         n = self.n = host.n
         self.rows = host._label_rows()
         self.strategies = list(profile.strategies)
         self.buyers: list[set[int]] = [set() for _ in range(n)]
-        self.pairs: dict[int, dict[tuple[int, int], None]] = {}
         self._starts: list[dict[int, list[int]] | None] = [None] * n
-        for v, w, _ in _labelled_arcs(host, profile):
-            self._toggle(v, w, True)
+        grouped: dict[int, dict[tuple[int, int], None]] = {}
+        for v, w, label in _labelled_arcs(host, profile):
+            self.buyers[w].add(v)
+            if w not in self.buyers[v]:
+                grouped.setdefault(label, {})[(v, w) if v < w else (w, v)] = None
         # flags in one pass here: a rescan per toggle is quadratic in class size
-        self._classes = [(lab, ps, _is_matching(ps)) for lab, ps in sorted(self.pairs.items())]
-        self.labels = [lab for lab, _, _ in self._classes]
+        self.classes = [(lab, ps, _is_matching(ps)) for lab, ps in sorted(grouped.items())]
 
     def move(self, v: int, strategy: frozenset[int]) -> None:
         old = self.strategies[v]
         for w in old - strategy:
-            self._refresh(self._toggle(v, w, False))
+            self._toggle(v, w, False)
         for w in strategy - old:
-            self._refresh(self._toggle(v, w, True))
+            self._toggle(v, w, True)
         self.strategies[v] = strategy
 
-    def _toggle(self, v: int, w: int, add: bool) -> int:
-        """Add or drop arc (v, w); its pair changes only without a twin (w, v).
-        Returns the pair's label when it changed, else 0."""
+    def _toggle(self, v: int, w: int, add: bool) -> None:
+        """Add or drop arc (v, w); its pair changes only without a twin (w, v)."""
         (self.buyers[w].add if add else self.buyers[w].discard)(v)
         if w in self.buyers[v]:
-            return 0
+            return
         label = self.rows[v][w]
+        classes = self.classes
+        i = bisect_left(classes, label, key=itemgetter(0))
+        if i == len(classes) or classes[i][0] != label:
+            classes.insert(i, (label, {}, True))
+        pairs = classes[i][1]
         pair = (v, w) if v < w else (w, v)
         if add:
-            self.pairs.setdefault(label, {})[pair] = None
+            pairs[pair] = None
         else:
-            del self.pairs[label][pair]
-            if not self.pairs[label]:
-                del self.pairs[label]
-        return label
-
-    def _refresh(self, label: int) -> None:
-        """Bring the entry of `label` in the sorted class list up to date."""
-        if not label:
-            return
-        i = bisect_left(self.labels, label)
-        listed = i < len(self.labels) and self.labels[i] == label
-        pairs = self.pairs.get(label)
-        if pairs is None:
-            del self.labels[i], self._classes[i]
-        elif listed:
-            self._classes[i] = (label, pairs, _is_matching(pairs))
+            del pairs[pair]
+        if pairs:
+            classes[i] = (label, pairs, _is_matching(pairs))
         else:
-            self.labels.insert(i, label)
-            self._classes.insert(i, (label, pairs, _is_matching(pairs)))
-
-    def classes(self, skip: int | None = None) -> list:
-        """(label, pairs, matching) ascending, as `core._reach_sweep` reads
-        them; none at agent `skip` (the graph G - skip) when it is given.
-
-        Without `skip` this is the kept list itself.  With it, a copy where
-        only the labels of skip's pairs are filtered; their flags stay valid,
-        since any subset of a matching is a matching."""
-        if skip is None:
-            return self._classes
-        row = self.rows[skip]
-        hit = {row[w] for w in self.strategies[skip]} | {row[u] for u in self.buyers[skip]}
-        out = list(self._classes)
-        for label in hit:
-            i = bisect_left(self.labels, label)
-            _, pairs, matching = out[i]
-            out[i] = (label, [p for p in pairs if skip not in p], matching)
-        return out
+            del classes[i]
 
     def starts(self, v: int) -> dict[int, list[int]]:
         """v's endpoints grouped by the label of their pair with v."""
@@ -268,7 +238,7 @@ def agent_cost(host: TemporalGraph, profile: StrategyProfile, v: int) -> CostVec
 def _agent_costs(state: _CreatedState) -> list[CostVector]:
     """Every agent's cost, from one reach sweep over the created graph."""
     n = state.n
-    reached = _reach_sweep(n, state.classes(), {1: range(n)})
+    reached = _reach_sweep(n, state.classes, {1: range(n)})
     return [CostVector(n - reached[v].bit_count(), len(state.strategies[v])) for v in range(n)]
 
 

@@ -11,13 +11,14 @@ does not depend on v's own strategy.  v's reach under strategy S is then
 {v} | in-neighbor covers | union of cover[w] for w in S, so evaluating any
 strategy is a few bitmask unions and exact best response is a minimum set
 cover over fixed candidate masks.  All n-1 covers come from one reach sweep
-over the created graph's label classes without v, each endpoint w read off
-at its own start label({v, w}); greedy scores each add by one popcount and
-looks at drops only when no add improves.
+over the created graph's label classes that leaves v out (`skip=v`), each
+endpoint w read off at its own start label({v, w}); greedy scores each add
+by one popcount and looks at drops only when no add improves.
 
-A view reads a `game._CreatedState`: the label classes, kept across a whole
-dynamics run and shared by every view of one check, with labels from the
-host's label table, so no graph is built and no arc regrouped per view.  The
+A view reads a `game._CreatedState`: its one label-class list, kept across a
+whole dynamics run and shared as is by every view of one check, with labels
+from the host's label table, so no graph is built, no arc regrouped and no
+class list copied per view.  The
 view is the one place that evaluates an agent, and `best` the one place that
 maps a rule to its search: dynamics, `tncg br` and the equilibrium checks
 call it, and the structural audit reads necessary sets off its covers.
@@ -46,7 +47,7 @@ class _AgentView:
         n = state.n
         if not (0 <= v < n):
             raise ValueError(f"agent {v} out of range")
-        covers = _reach_sweep(n, state.classes(skip=v), state.starts(v))
+        covers = _reach_sweep(n, state.classes, state.starts(v), skip=v)
         self.n = n
         self.v = v
         self.current = state.strategies[v]

@@ -80,12 +80,11 @@ def brute_best_response(host, profile, v):
     return best[1], best[2]
 
 
-def brute_label_classes(host, profile, skip=None) -> dict:
-    """label -> sorted pairs of the undirected created graph without node skip."""
+def brute_label_classes(host, profile) -> dict:
+    """label -> sorted pairs of the undirected created graph."""
     classes = {}
     for (a, b), lab in brute_created_graph(host, profile).edges.items():
-        if skip not in (a, b):
-            classes.setdefault(lab, []).append((a, b))
+        classes.setdefault(lab, []).append((a, b))
     return {lab: sorted(pairs) for lab, pairs in classes.items()}
 
 

@@ -350,6 +350,16 @@ def test_validate_profile_against_host(tmp_path, capsys):
     reports = json.loads(out)
     assert reports[0]["ok"] is True  # the host itself
     assert "out of range" in reports[1]["errors"][0]["message"]
+    # labels 1..3 under a header that claims lifetime 5
+    host.write_text("3 5\n0 1 1\n0 2 2\n1 2 3\n")
+    prof.write_text("0: 1 2\n")
+    code, out, _ = run(capsys, "validate", "--host", str(host))
+    assert code == 2
+    assert json.loads(out)[0]["errors"][0] == {
+        "line": 1, "message": "host lifetime 5 must equal the largest label 3"}
+    code, out, err = run(capsys, "check", "--host", str(host), "--profile", str(prof))
+    assert code == 2 and out == ""
+    assert "lifetime 5" in one_error_line(err)
 
 
 def test_missing_file_is_exit_2(capsys):

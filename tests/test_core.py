@@ -17,7 +17,7 @@ from tncg import (
     reach,
     set_to_mask,
 )
-from tncg.core import reach_evaluations, reset_reach_evaluations
+from tncg.core import _reach_sweep, reach_evaluations, reset_reach_evaluations
 from tncg.game import _CreatedState
 from tncg.optimum import _EdgeMasks, _minimal_keep
 from tncg.responses import _AgentView
@@ -212,6 +212,17 @@ def test_reach_from_start_label_matches_oracle(case):
     assert mask_to_set(g.reach_mask(u, start_label=start)) == brute_reach(upper, u)
 
 
+def assert_sweep_skips_each_node(g):
+    """A sweep that leaves x out reaches, from every other y, what y
+    reaches in g with x's edges removed."""
+    for x in range(g.n):
+        rest = TemporalGraph(g.n, {p: lab for p, lab in g.edges.items() if x not in p})
+        others = [y for y in range(g.n) if y != x]
+        got = _reach_sweep(g.n, g._label_classes(), {1: others}, skip=x)
+        for y in others:
+            assert mask_to_set(got[y]) == brute_reach(rest, y), (g.edges, x, y)
+
+
 def test_reach_and_edge_masks_on_long_label_classes():
     # two labels on sparse graphs of 8-14 nodes give classes of a dozen or
     # more pairs, longer than the Hypothesis tests above draw
@@ -225,6 +236,7 @@ def test_reach_and_edge_masks_on_long_label_classes():
             upper = TemporalGraph(n, {p: lab for p, lab in g.edges.items() if lab >= s})
             for u in range(n):
                 assert mask_to_set(g.reach_mask(u, start_label=s)) == brute_reach(upper, u)
+        assert_sweep_skips_each_node(g)
         got = _EdgeMasks(g).connected((1 << g.edge_count) - 1)
         assert got == brute_connected(g), g.edges
         connected += got
@@ -253,6 +265,7 @@ def test_reach_and_edge_masks_on_matching_classes():
         for u in range(n):
             assert mask_to_set(g.reach_mask(u)) == brute_reach(g, u)
             assert mask_to_set(g.reach_mask(u, start_label=s)) == brute_reach(upper, u)
+        assert_sweep_skips_each_node(g)
         masks = _EdgeMasks(g)
         subs = [masks.all, rng.getrandbits(g.edge_count)]
         if masks.connected(masks.all):
@@ -289,8 +302,8 @@ def test_created_state_moves_on_matching_classes_match_fresh_state():
             if step % n:
                 continue
             fresh = _CreatedState(host, profile)
-            assert state.classes() == fresh.classes()
-            for _, pairs, matching in state.classes():
+            assert state.classes == fresh.classes
+            for _, pairs, matching in state.classes:
                 flagged += matching and len(pairs) >= 3
                 unflagged += not matching
             for x in range(n):

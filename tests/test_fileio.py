@@ -93,6 +93,12 @@ def test_host_check_is_layered_on_graph_parse():
     with pytest.raises(FormatError) as err:
         parse_host("3 2\n0 1 2\n0 2 2\n")
     assert "complete" in str(err.value)
+    # complete, with labels 1..3 or none, but the header claims a larger lifetime
+    for text, t, largest in [("3 5\n0 1 1\n0 2 2\n1 2 3\n", 5, 3), ("1 2\n", 2, 0)]:
+        assert parse_graph(text).lifetime == largest
+        with pytest.raises(FormatError) as err:
+            parse_host(text, path="h.tg")
+        assert str(err.value) == f"h.tg:1: host lifetime {t} must equal the largest label {largest}"
 
 
 def test_profile_errors_carry_position():

@@ -227,15 +227,11 @@ def test_created_state_patches_match_fresh_grouping(case):
         profile = profile.with_strategy(v, new(profile))
         state.move(v, profile[v])
         fresh = _CreatedState(host, profile)
-        for skip in [None, *range(n)]:
-            classes = state.classes(skip)
-            assert [lab for lab, _, _ in classes] == sorted({lab for lab, _, _ in classes})
-            got = {lab: sorted(ps) for lab, ps, _ in classes if ps}
-            assert got == brute_label_classes(host, profile, skip)
-            for _, ps, matching in classes:
-                disjoint = len({x for p in ps for x in p}) == 2 * len(ps)
-                # a G - skip class keeps the flag of the whole class
-                assert (matching == disjoint) if skip is None else (disjoint or not matching)
+        classes = state.classes
+        assert [lab for lab, _, _ in classes] == sorted({lab for lab, _, _ in classes})
+        assert {lab: sorted(ps) for lab, ps, _ in classes} == brute_label_classes(host, profile)
+        for _, ps, matching in classes:
+            assert matching == (len({x for p in ps for x in p}) == 2 * len(ps))
         for x in range(n):
             a, b = _AgentView(state, x), _AgentView(fresh, x)
             assert (a.covers, a.in_mask, a.cur_cost) == (b.covers, b.in_mask, b.cur_cost)
