@@ -33,7 +33,7 @@ from .fileio import (
     save_profile,
     validate_files,
 )
-from .game import _CreatedState, empty_profile, social_cost
+from .game import _CreatedState, empty_profile
 from .optimum import minimal_spanner, minimum_spanner, poa_ratio
 from .responses import DEFAULT_BUDGET, _AgentView, _check_budget
 
@@ -57,10 +57,6 @@ def _emit(fmt: str, payload) -> None:
     writer = csv.DictWriter(sys.stdout, fieldnames=fields, restval="")
     writer.writeheader()
     writer.writerows(flat)
-
-
-def _write_schedule(path: str, schedule: list[int]) -> None:
-    Path(path).write_text("\n".join(str(v) for v in schedule) + "\n")
 
 
 def _cmd_gen(args) -> int:
@@ -87,7 +83,7 @@ def _cmd_gen(args) -> int:
         save_profile(profile, args.profile)
         files["profile"] = args.profile
     if schedule is not None and args.schedule_out:
-        _write_schedule(args.schedule_out, schedule)
+        Path(args.schedule_out).write_text("\n".join(str(v) for v in schedule) + "\n")
         files["schedule"] = args.schedule_out
     summary = {
         "family": args.family,
@@ -216,14 +212,14 @@ def _cmd_poa(args) -> int:
         _emit(args.format, {"stable": False, "mode": args.mode, "witness": list(report.witness)})
         return 1
     ratio = poa_ratio(host, profile, budget_cap=args.budget)
-    sc = social_cost(host, profile)
+    edges = profile.arc_count
     _emit(
         args.format,
         {
             "stable": True,
             "mode": args.mode,
-            "edges": sc.edges,
-            "optimum": sc.edges * ratio.denominator // ratio.numerator,
+            "edges": edges,
+            "optimum": edges * ratio.denominator // ratio.numerator,
             "poa": {"num": ratio.numerator, "den": ratio.denominator},
         },
     )
@@ -270,6 +266,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if not args.files and not args.host:
+        raise ValueError("nothing to validate: give files or --host")
     n = None
     reports = []
     if args.host:

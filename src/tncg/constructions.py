@@ -350,6 +350,8 @@ def gen_t2_equilibrium(host: TemporalGraph) -> StrategyProfile:
 def gen_random_host(n: int, t: int, seed: int) -> TemporalGraph:
     """Complete host with labels uniform in {1..t}, compressed to be
     consecutive; deterministic in seed."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
     max_t = n * (n - 1) // 2
     if not (1 <= t <= max_t):
         raise ValueError(f"need 1 <= t <= {max_t}, got {t}")

@@ -83,7 +83,7 @@ def _hypercube_instance(args):
     host, profile = gen_hypercube(d)
     ne = check_ne(host, profile)
     ge = check_ge(host, profile)
-    opt_graph, opt = minimum_spanner(host)
+    _, opt = minimum_spanner(host)
     ratio = Fraction(profile.arc_count, opt)
     expected = Fraction(d * (1 << (d - 1)), (1 << d) - 1)
     row = {
@@ -269,7 +269,7 @@ def _ge_sweep_instance(args):
         if not audit.bounds.dense_ok:
             msgs.append(f"edge count {profile.arc_count} reaches the dense threshold")
         try:
-            opt_graph, opt = minimum_spanner(host, budget_cap=cfg["poa_budget"])
+            _, opt = minimum_spanner(host, budget_cap=cfg["poa_budget"])
             ratio = Fraction(profile.arc_count, opt)
             row.update(opt_size=opt, **_frac_fields("poa", ratio))
             if host.lifetime > 1:

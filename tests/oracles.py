@@ -1,50 +1,61 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here favors obviousness over speed: reachability enumerates
-simple paths by DFS, optima enumerate subsets.  Keep these free of package
-reachability internals so disagreements point at real bugs.
+Everything here favors obviousness over speed.  Reachability is one search
+over (node, label of the arriving edge) states: walks with non-decreasing
+labels reach the same nodes as temporal paths, because cutting a walk's
+loops leaves a subsequence of its labels, which still does not decrease.
+Optima enumerate subsets.  Reach, costs and optima here use none of the
+package's label classes, bitmasks or connectivity checks, so a
+disagreement points at a real bug.
 """
 
 from itertools import combinations
 
-from tncg import TemporalGraph
+from tncg import CostVector, TemporalGraph
+
+
+def _adjacency(n: int, edges) -> list:
+    """node -> [(neighbor, label)] over ((a, b), label) items."""
+    adj = [[] for _ in range(n)]
+    for (a, b), lab in edges:
+        adj[a].append((b, lab))
+        adj[b].append((a, lab))
+    return adj
+
+
+def _walk_reach(adj: list, u: int) -> set:
+    """Nodes that some walk from u with non-decreasing labels ends at."""
+    seen = {(u, 0)}
+    stack = [(u, 0)]
+    while stack:
+        node, last = stack.pop()
+        for nxt, lab in adj[node]:
+            if lab >= last and (nxt, lab) not in seen:
+                seen.add((nxt, lab))
+                stack.append((nxt, lab))
+    return {node for node, _ in seen}
+
+
+def _spans(n: int, edges) -> bool:
+    """Every node reaches every node over the ((a, b), label) items."""
+    adj = _adjacency(n, edges)
+    return all(len(_walk_reach(adj, u)) == n for u in range(n))
 
 
 def brute_reach(g: TemporalGraph, u: int) -> set:
-    """Reachable set via DFS over simple paths with non-decreasing labels."""
-    adj = {v: [] for v in range(g.n)}
-    for (a, b), lab in g.edges.items():
-        adj[a].append((b, lab))
-        adj[b].append((a, lab))
-    reached = {u}
-    stack = [(u, 0, frozenset([u]))]
-    while stack:
-        node, last, path = stack.pop()
-        for (nxt, lab) in adj[node]:
-            if nxt in path or lab < last:
-                continue
-            reached.add(nxt)
-            stack.append((nxt, lab, path | {nxt}))
-    return reached
+    return _walk_reach(_adjacency(g.n, g.edges.items()), u)
 
 
 def brute_connected(g: TemporalGraph) -> bool:
-    return all(len(brute_reach(g, u)) == g.n for u in range(g.n))
+    return _spans(g.n, g.edges.items())
 
 
-def brute_minimum_spanner(host: TemporalGraph, max_extra: int = 64) -> int:
-    """Smallest spanner size by ascending-cardinality subset enumeration.
-
-    Uses the package's temporal connectivity check, which the reachability
-    oracle validates separately; the search itself is exhaustive.
-    """
-    from tncg import is_temporally_connected
-
-    edges = sorted(host.edges)
+def brute_minimum_spanner(host: TemporalGraph) -> int:
+    """Smallest spanner size by ascending-cardinality subset enumeration."""
+    edges = sorted(host.edges.items())
     for r in range(host.n - 1, len(edges) + 1):
         for combo in combinations(edges, r):
-            sub = TemporalGraph(host.n, {p: host.edges[p] for p in combo})
-            if is_temporally_connected(sub):
+            if _spans(host.n, combo):
                 return r
     raise AssertionError("graph itself is not temporally connected")
 
@@ -59,9 +70,7 @@ def brute_created_graph(host, profile) -> TemporalGraph:
 
 
 def brute_agent_cost(host, profile, v):
-    """Agent cost from scratch: undirected created graph, DFS reachability."""
-    from tncg import CostVector
-
+    """Agent cost from scratch: undirected created graph, walk reachability."""
     reached = brute_reach(brute_created_graph(host, profile), v)
     return CostVector(host.n - len(reached), len(profile[v]))
 
@@ -92,8 +101,6 @@ def candidate_greedy(view):
     """Reference greedy search over an agent view's covers: build and score
     every toggled endpoint set; ties go to the lexicographically smallest
     set.  Returns (strategy, cost) like `_AgentView.greedy`."""
-    from tncg import CostVector
-
     best_cost = view.cur_cost
     best = None
     for w in range(view.n):

@@ -142,15 +142,22 @@ def one_error_line(err):
     ["br", "--agent", "8"],
     ["dynamics", "--max-steps", "0"],
     ["dynamics", "--max-steps", "-5"],
+    ["gen", "random", "--n", "0", "--t", "1"],
+    ["gen", "random", "--n", "1", "--t", "1"],
 ])
 def test_out_of_range_arguments_are_exit_2(tmp_path, capsys, argv):
     host = tmp_path / "h.tg"
     prof = tmp_path / "p.tsp"
-    run(capsys, "gen", "hypercube", "--dim", "3", "-o", str(host), "--profile", str(prof))
-    code, out, err = run(capsys, *argv, "--host", str(host), "--profile", str(prof))
+    if argv[0] == "gen":
+        files = ["-o", str(host)]
+    else:
+        run(capsys, "gen", "hypercube", "--dim", "3", "-o", str(host), "--profile", str(prof))
+        files = ["--host", str(host), "--profile", str(prof)]
+    code, out, err = run(capsys, *argv, *files)
     assert code == 2 and out == ""
     line = one_error_line(err)
-    assert ("out of range" if argv[0] == "br" else "max_steps") in line
+    assert {"br": "out of range", "dynamics": "max_steps", "gen": "need n >= 2"}[argv[0]] in line
+    assert argv[0] != "gen" or list(tmp_path.iterdir()) == []
 
 
 def test_spanner_modes(tmp_path, capsys):
@@ -338,6 +345,9 @@ def test_validate_exit_codes(tmp_path, capsys):
     assert code == 2
     reports = json.loads(out)
     assert [r["ok"] for r in reports] == [True, False]
+    code, out, err = run(capsys, "validate")
+    assert code == 2 and out == ""
+    assert "nothing to validate" in one_error_line(err)
 
 
 def test_validate_profile_against_host(tmp_path, capsys):
