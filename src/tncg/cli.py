@@ -288,8 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"tncg {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_gen_family(gsub, name, **extra_args):
-        p = gsub.add_parser(name, parents=[common])
+    def add_gen_family(gsub, name, help=None, **extra_args):
+        # an explicit help=None would still list the family in its parent's help
+        p = gsub.add_parser(name, parents=[common], **({"help": help} if help else {}))
         for flag, kw in extra_args.items():
             p.add_argument(flag, **kw)
         p.add_argument("-o", "--output", required=True, help="host file (.tg)")
@@ -310,15 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
         **{"--n": {"type": int, "required": True}, "--t": {"type": int, "required": True},
            "--seed": {"type": int, "default": 0}},
     )
-    add_gen_family(gsub, "reduce-br", **{"--setcover": {"required": True}})
-    add_gen_family(gsub, "reduce-ne", **{"--setcover": {"required": True}})
-
-    for alias in ("reduce-br", "reduce-ne"):
-        p = sub.add_parser(alias, parents=[common], help=f"alias of gen {alias}")
-        p.add_argument("--setcover", required=True)
-        p.add_argument("-o", "--output", required=True)
-        p.add_argument("--profile")
-        p.set_defaults(family=alias)
+    setcover = {"--setcover": {"required": True}}
+    for family in ("reduce-br", "reduce-ne"):
+        add_gen_family(gsub, family, **setcover)
+        alias = add_gen_family(sub, family, help=f"alias of gen {family}", **setcover)
+        alias.set_defaults(family=family)
 
     p = sub.add_parser("check", parents=[common], help="verify an equilibrium")
     p.add_argument("--host", required=True)

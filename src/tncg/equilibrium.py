@@ -17,7 +17,7 @@ from typing import Optional
 from .core import TemporalGraph, mask_to_set, norm_pair
 from .errors import PreconditionViolated
 from .game import CostVector, DirectedTemporalGraph, StrategyProfile
-from .game import _agent_costs, _CreatedState, _labelled_arcs
+from .game import _agent_costs, _check_profile_n, _CreatedState, _labelled_arcs
 from .responses import DEFAULT_BUDGET, _AgentView
 
 
@@ -160,9 +160,10 @@ def necessary_set(
     Removing the arc removes the undirected pair only when the antiparallel
     twin is absent; with the twin present the set is empty.
     """
-    if w not in profile.strategies[u]:
+    view = _AgentView(_CreatedState(host, profile), u)
+    if w not in view.current:
         raise ValueError(f"arc ({u}, {w}) is not present in the profile")
-    return mask_to_set(_owner_necessary_masks(_AgentView(_CreatedState(host, profile), u))[w])
+    return mask_to_set(_owner_necessary_masks(view)[w])
 
 
 def _necessary_masks(state: _CreatedState, views: dict) -> dict[tuple[int, int], int]:
@@ -348,6 +349,7 @@ def audit_edge_bounds(host: TemporalGraph, profile: StrategyProfile) -> BoundsRe
     reported as not applicable.  The density bound (strictly fewer than
     sqrt(6)*n^1.5 + n arcs) holds for every equilibrium.
     """
+    _check_profile_n(host, profile)
     n = host.n
     t = host.lifetime
     arcs = profile.arc_count

@@ -7,6 +7,9 @@ Reports carry no timestamps; identical runs produce identical bytes.
 Each scenario emits one row per instance plus a falsification list; any
 falsification is a disagreement between an audited claim and observed
 behavior and flips the exit code to 1.
+
+A scenario is one `_SCENARIOS` entry plus its name in the scenario enum of
+`schemas/report_schema.json`.
 """
 
 from __future__ import annotations
@@ -395,155 +398,144 @@ def _large_node_instance(args):
     return row, msgs
 
 
-_INSTANCE_FNS: dict[str, Callable] = {
-    "hypercube-poa": _hypercube_instance,
-    "t2-tightness": _t2_tightness_instance,
-    "br-cycle": _br_cycle_instance,
-    "reduction-audit": _reduction_instance,
-    "random-ge-sweep": _ge_sweep_instance,
-    "freeze-relabel-audit": _freeze_instance,
-    "t2-existence-sweep": _t2_instance,
-    "large-node-audit": _large_node_instance,
-}
-
-
-def _instance_args(scenario: str, cfg: dict, seed: int) -> list[tuple]:
-    """(idx, inst_seed, cfg) of every instance in row order: the fixed
-    instances with no seed, then the seeded ones, each taking the next draw
-    of one generator seeded by `seed`."""
-    fixed, seeded = 0, cfg.get("instances", 0)
-    if scenario == "hypercube-poa":
-        fixed = len(cfg["dims"])
-    elif scenario == "t2-tightness":
-        fixed = len(cfg["n_values"])
-    elif scenario == "br-cycle":
-        fixed = 1
-    elif scenario == "t2-existence-sweep":
-        n = cfg["exhaustive_n"]
-        fixed, seeded = 1 << (n * (n - 1) // 2), cfg["random_instances"]
-    elif scenario == "large-node-audit":
-        seeded += len(cfg["below_arcs"])
-    base = random.Random(seed)
-    return [(i, None, cfg) for i in range(fixed)] + [
-        (fixed + j, base.randrange(2**32), cfg) for j in range(seeded)
+def _sweep_rules(cfg: dict) -> list[tuple[str, bool, str]]:
+    n_min = cfg["n_min"]
+    pairs = math.comb(n_min, 2)
+    return [
+        ("t_min", cfg["t_min"] >= 1, "must be >= 1"),
+        ("t_max", cfg["t_max"] <= pairs,
+         f"must be <= {pairs}, the pair count of a host with n_min = {n_min} nodes"),
     ]
 
 
-def _summary_extra(scenario: str, rows: list[dict]) -> dict:
-    """Scenario-specific summary counts, derived from the rows."""
-    if scenario == "random-ge-sweep":
-        outcomes = [r["outcome"] for r in rows]
-        ge, cycles = outcomes.count(OUTCOME_GE), outcomes.count(OUTCOME_CYCLE)
-        # a converged row without an optimum is one whose search hit poa_budget
-        unpriced = sum(1 for r in rows if r["outcome"] == OUTCOME_GE and r["opt_size"] is None)
-        return {"converged_ge": ge, "cycles": cycles, "other": len(rows) - ge - cycles,
-                "poa_budget_exceeded": unpriced}
-    if scenario == "freeze-relabel-audit":
-        return {"ges_verified": sum(1 for r in rows if r["converged"])}
-    if scenario == "t2-existence-sweep":
-        parts = [r["part"] for r in rows]
-        return {"exhaustive": parts.count("exhaustive"), "random": parts.count("random")}
-    return {}
+def _t2_rules(cfg: dict) -> list[tuple[str, bool, str]]:
+    n_ex = cfg["exhaustive_n"]
+    return [
+        ("exhaustive_n", n_ex >= 1, "must be >= 1"),
+        ("exhaustive_n", n_ex <= 6,
+         f"must be <= 6; it sweeps all 2^{math.comb(n_ex, 2)} hosts on {n_ex} nodes"),
+        ("n_min", cfg["n_min"] >= 3, "must be >= 3, so that a host has room for labels 1 and 2"),
+    ]
 
 
-SCENARIO_DEFAULTS: dict[str, dict] = {
-    "hypercube-poa": {"dims": [3, 4]},
-    "t2-tightness": {"n_values": [5, 6, 7, 8, 9, 10, 11, 12]},
-    "br-cycle": {},
-    "reduction-audit": {"instances": 20, "k_min": 3, "k_max": 8, "m_min": 2, "m_max": 6},
-    "random-ge-sweep": {
-        "instances": 200,
-        "n_min": 4,
-        "n_max": 12,
-        "t_min": 2,
-        "t_max": 4,
-        "poa_budget": 5000,
-    },
-    "freeze-relabel-audit": {
-        "instances": 30,
-        "n_min": 4,
-        "n_max": 10,
-        "t_min": 2,
-        "t_max": 4,
-        "retries": 6,
-    },
-    "t2-existence-sweep": {
-        "exhaustive_n": 5,
-        "random_instances": 500,
-        "n_min": 5,
-        "n_max": 10,
-    },
-    "large-node-audit": {
-        "instances": 20,
-        "n": 36,
-        "arcs": 600,
-        "t": 5,
-        "below_arcs": [500, 565],
-    },
+def _large_node_rules(cfg: dict) -> list[tuple[str, bool, str]]:
+    n = cfg["n"]
+    full = n * (n - 1)
+    most = f"must be <= {full}, the arc count of a complete directed graph on n = {n} nodes"
+    least = n + 1 + math.isqrt(max(6 * n**3 - 1, 0))
+    dense = f"{least}, the least arc count at or above sqrt(6)*n^1.5 + n at n = {n}"
+    return [
+        ("t", cfg["t"] >= 1, "must be >= 1"),
+        ("arcs", cfg["arcs"] <= full, most),
+        ("arcs", not _dense_below_threshold(n, cfg["arcs"]), "must be >= " + dense),
+        ("below_arcs", all(a <= full for a in cfg["below_arcs"]), "every entry " + most),
+        ("below_arcs", all(_dense_below_threshold(n, a) for a in cfg["below_arcs"]),
+         "every entry must be < " + dense),
+    ]
+
+
+def _ge_sweep_summary(rows: list[dict]) -> dict:
+    outcomes = [r["outcome"] for r in rows]
+    ge, cycles = outcomes.count(OUTCOME_GE), outcomes.count(OUTCOME_CYCLE)
+    # a converged row without an optimum is one whose search hit poa_budget
+    unpriced = sum(1 for r in rows if r["outcome"] == OUTCOME_GE and r["opt_size"] is None)
+    return {"converged_ge": ge, "cycles": cycles, "other": len(rows) - ge - cycles,
+            "poa_budget_exceeded": unpriced}
+
+
+@dataclass(frozen=True)
+class _Scenario:
+    """One scenario: its module-level (so picklable) instance function, its
+    default config without the seed, counts(cfg) = (fixed, seeded) instances,
+    rules(cfg) = (key, holds, requirement) per value range its generators
+    enforce, and summary(rows) = its own summary counts.  A rule is checked
+    even where no instance draws from its key, so whether a config runs does
+    not depend on its seed."""
+
+    fn: Callable
+    defaults: dict
+    counts: Callable[[dict], tuple[int, int]] = lambda cfg: (0, cfg["instances"])
+    rules: Callable[[dict], list] = lambda cfg: []
+    summary: Callable[[list], dict] = lambda rows: {}
+
+
+_SCENARIOS: dict[str, _Scenario] = {
+    "hypercube-poa": _Scenario(
+        _hypercube_instance,
+        {"dims": [3, 4]},
+        counts=lambda cfg: (len(cfg["dims"]), 0),
+        rules=lambda cfg: [
+            ("dims", all(d >= 3 for d in cfg["dims"]), "every dimension must be >= 3"),
+            ("dims", all(d <= 8 for d in cfg["dims"]),
+             "every dimension must be <= 8; the host of dimension d has 2^d nodes"),
+        ],
+    ),
+    "t2-tightness": _Scenario(
+        _t2_tightness_instance,
+        {"n_values": [5, 6, 7, 8, 9, 10, 11, 12]},
+        counts=lambda cfg: (len(cfg["n_values"]), 0),
+        rules=lambda cfg: [("n_values", all(n >= 5 for n in cfg["n_values"]), "every n must be >= 5")],
+    ),
+    "br-cycle": _Scenario(_br_cycle_instance, {}, counts=lambda cfg: (1, 0)),
+    "reduction-audit": _Scenario(
+        _reduction_instance,
+        {"instances": 20, "k_min": 3, "k_max": 8, "m_min": 2, "m_max": 6},
+        # instances draw k from max(k_min, 2)..k_max, and m likewise
+        rules=lambda cfg: [(k, cfg[k] >= 2, "must be >= 2") for k in ("k_max", "m_max")],
+    ),
+    "random-ge-sweep": _Scenario(
+        _ge_sweep_instance,
+        {"instances": 200, "n_min": 4, "n_max": 12, "t_min": 2, "t_max": 4, "poa_budget": 5000},
+        rules=_sweep_rules,
+        summary=_ge_sweep_summary,
+    ),
+    "freeze-relabel-audit": _Scenario(
+        _freeze_instance,
+        {"instances": 30, "n_min": 4, "n_max": 10, "t_min": 2, "t_max": 4, "retries": 6},
+        rules=_sweep_rules,
+        summary=lambda rows: {"ges_verified": sum(1 for r in rows if r["converged"])},
+    ),
+    "t2-existence-sweep": _Scenario(
+        _t2_instance,
+        {"exhaustive_n": 5, "random_instances": 500, "n_min": 5, "n_max": 10},
+        # one exhaustive instance per labelling of K_n by {1, 2}
+        counts=lambda cfg: (1 << math.comb(cfg["exhaustive_n"], 2), cfg["random_instances"]),
+        rules=_t2_rules,
+        summary=lambda rows: {p: sum(r["part"] == p for r in rows) for p in ("exhaustive", "random")},
+    ),
+    "large-node-audit": _Scenario(
+        _large_node_instance,
+        {"instances": 20, "n": 36, "arcs": 600, "t": 5, "below_arcs": [500, 565]},
+        counts=lambda cfg: (0, cfg["instances"] + len(cfg["below_arcs"])),
+        rules=_large_node_rules,
+    ),
 }
+
+SCENARIO_DEFAULTS: dict[str, dict] = {name: s.defaults for name, s in _SCENARIOS.items()}
+
+
+def _instance_args(spec: _Scenario, cfg: dict) -> list[tuple]:
+    """(idx, inst_seed, cfg) of every instance in row order: the fixed
+    instances with no seed, then the seeded ones, each taking the next draw
+    of one generator seeded by cfg["seed"]."""
+    fixed, seeded = spec.counts(cfg)
+    base = random.Random(cfg["seed"])
+    return [(i, None, cfg) for i in range(fixed)] + [
+        (fixed + j, base.randrange(2**32), cfg) for j in range(seeded)
+    ]
 
 
 def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def _range_rules(scenario: str, cfg: dict) -> list[tuple[str, bool, str]]:
-    """(key, holds, requirement) for each value range that the scenario's
-    generators enforce.  A key is checked even where no instance draws from
-    it, so whether a config runs does not depend on its seed."""
-    if scenario == "hypercube-poa":
-        return [
-            ("dims", all(d >= 3 for d in cfg["dims"]), "every dimension must be >= 3"),
-            ("dims", all(d <= 8 for d in cfg["dims"]),
-             "every dimension must be <= 8; the host of dimension d has 2^d nodes"),
-        ]
-    if scenario == "t2-tightness":
-        return [("n_values", all(n >= 5 for n in cfg["n_values"]), "every n must be >= 5")]
-    if scenario == "reduction-audit":
-        # instances draw k from max(k_min, 2)..k_max, and m likewise
-        return [
-            ("k_max", cfg["k_max"] >= 2, "must be >= 2"),
-            ("m_max", cfg["m_max"] >= 2, "must be >= 2"),
-        ]
-    if scenario in ("random-ge-sweep", "freeze-relabel-audit"):
-        n_min = cfg["n_min"]
-        pairs = n_min * (n_min - 1) // 2
-        return [
-            ("t_min", cfg["t_min"] >= 1, "must be >= 1"),
-            ("t_max", cfg["t_max"] <= pairs,
-             f"must be <= {pairs}, the pair count of a host with n_min = {n_min} nodes"),
-        ]
-    if scenario == "t2-existence-sweep":
-        n_ex = cfg["exhaustive_n"]
-        return [
-            ("exhaustive_n", n_ex >= 1, "must be >= 1"),
-            ("exhaustive_n", n_ex <= 6,
-             f"must be <= 6; it sweeps all 2^{n_ex * (n_ex - 1) // 2} hosts on {n_ex} nodes"),
-            ("n_min", cfg["n_min"] >= 3, "must be >= 3, so that a host has room for labels 1 and 2"),
-        ]
-    if scenario == "large-node-audit":
-        n = cfg["n"]
-        full = n * (n - 1)
-        most = f"must be <= {full}, the arc count of a complete directed graph on n = {n} nodes"
-        least = n + 1 + math.isqrt(max(6 * n**3 - 1, 0))
-        dense = f"{least}, the least arc count at or above sqrt(6)*n^1.5 + n at n = {n}"
-        return [
-            ("t", cfg["t"] >= 1, "must be >= 1"),
-            ("arcs", cfg["arcs"] <= full, most),
-            ("arcs", not _dense_below_threshold(n, cfg["arcs"]), "must be >= " + dense),
-            ("below_arcs", all(a <= full for a in cfg["below_arcs"]), "every entry " + most),
-            ("below_arcs", all(_dense_below_threshold(n, a) for a in cfg["below_arcs"]),
-             "every entry must be < " + dense),
-        ]
-    return []
-
-
 def _check_config(scenario: str, cfg: dict) -> None:
     """Reject values that are not counts (or lists of counts like their
-    defaults; the seed is a count), inverted min/max ranges, sweeps with
-    no instances, and values outside the ranges of `_range_rules`."""
+    defaults), inverted min/max ranges, values outside the ranges of the
+    scenario's `rules`, and sweeps with no instances."""
+    spec = _SCENARIOS[scenario]
     for key, value in cfg.items():
-        if isinstance(SCENARIO_DEFAULTS[scenario].get(key), list):
+        if isinstance(spec.defaults.get(key), list):
             if not (isinstance(value, list) and all(_is_count(x) for x in value)):
                 raise ValueError(f"config key {key!r} must be a list of non-negative integers, got {value!r}")
         elif not _is_count(value):
@@ -552,14 +544,14 @@ def _check_config(scenario: str, cfg: dict) -> None:
         top = key[: -len("_min")] + "_max"
         if key.endswith("_min") and value > cfg[top]:
             raise ValueError(f"config key {key!r} = {value} exceeds {top!r} = {cfg[top]}")
-    # instances come from the `instances` count and from the list-valued keys
-    sources = [k for k in cfg if k == "instances" or isinstance(cfg[k], list)]
-    if sources and sum(len(cfg[k]) if k != "instances" else cfg[k] for k in sources) == 0:
-        named = ", ".join(f"{k}={cfg[k]!r}" for k in sources)
-        raise ValueError(f"config {named} leaves scenario {scenario} with no instances")
-    for key, holds, requirement in _range_rules(scenario, cfg):
+    for key, holds, requirement in spec.rules(cfg):
         if not holds:
             raise ValueError(f"config key {key!r} = {cfg[key]!r}: {requirement}")
+    # counted only now: the rules bound exhaustive_n, and 2^(n(n-1)/2) with it
+    if sum(spec.counts(cfg)) == 0:
+        # instances come from the `instances` count and from the list-valued keys
+        named = ", ".join(f"{k}={v!r}" for k, v in cfg.items() if k == "instances" or isinstance(v, list))
+        raise ValueError(f"config {named} leaves scenario {scenario} with no instances")
 
 
 @dataclass
@@ -588,35 +580,31 @@ def run_experiment(
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     scenario = config.get("scenario")
-    if scenario not in _INSTANCE_FNS:
-        known = ", ".join(sorted(_INSTANCE_FNS))
+    if scenario not in _SCENARIOS:
+        known = ", ".join(sorted(_SCENARIOS))
         raise ValueError(f"unknown scenario {scenario!r}; known: {known}")
-    cfg = dict(SCENARIO_DEFAULTS[scenario])
-    seed = 0
+    spec = _SCENARIOS[scenario]
+    cfg = {"seed": 0, **spec.defaults}
     for key, value in config.items():
         if key == "scenario":
-            continue
-        if key == "seed":
-            seed = value
             continue
         if key not in cfg:
             raise ValueError(f"unknown config key {key!r} for scenario {scenario}")
         cfg[key] = value
-    _check_config(scenario, {"seed": seed, **cfg})
-    args = _instance_args(scenario, cfg, seed)
-    rows, fals = _pmap(_INSTANCE_FNS[scenario], args, threads)
-    full_config = {"scenario": scenario, "seed": seed, **cfg}
+    _check_config(scenario, cfg)
+    rows, fals = _pmap(spec.fn, _instance_args(spec, cfg), threads)
+    full_config = {"scenario": scenario, **cfg}
     report = {
         "scenario": scenario,
         "version": __version__,
-        "seed": seed,
+        "seed": cfg["seed"],
         "config": full_config,
         "config_digest": config_digest(full_config),
         "summary": {
             "instances": len(rows),
             "falsifications": len(fals),
             "pass": not fals,
-            **_summary_extra(scenario, rows),
+            **spec.summary(rows),
         },
         "instances": rows,
         "falsifications": fals,

@@ -53,6 +53,8 @@ class StrategyProfile:
 
     def __init__(self, n: int, strategies: Sequence[Iterable[int]] | Mapping[int, Iterable[int]]):
         if isinstance(strategies, Mapping):
+            for v in strategies:
+                _check_agent(n, v)
             seq: list[Iterable[int]] = [strategies.get(v, ()) for v in range(n)]
         else:
             seq = list(strategies)
@@ -66,6 +68,7 @@ class StrategyProfile:
 
     def with_strategy(self, v: int, s: Iterable[int]) -> "StrategyProfile":
         """The profile with S_v replaced; only the new strategy is validated."""
+        _check_agent(self.n, v)
         seq = list(self.strategies)
         seq[v] = _checked_strategy(self.n, v, s)
         out = object.__new__(StrategyProfile)
@@ -96,6 +99,11 @@ class StrategyProfile:
 
     def __repr__(self):
         return f"StrategyProfile(n={self.n}, arcs={self.arc_count})"
+
+
+def _check_agent(n: int, v: int) -> None:
+    if v not in range(n):
+        raise ValueError(f"agent {v} out of range")
 
 
 def _checked_strategy(n: int, v: int, s: Iterable[int]) -> frozenset[int]:
@@ -137,10 +145,14 @@ class DirectedTemporalGraph:
         return len(self.arcs)
 
 
-def _labelled_arcs(host: TemporalGraph, profile: StrategyProfile):
-    """(v, w, label) per bought arc, labels from the host."""
+def _check_profile_n(host: TemporalGraph, profile: StrategyProfile) -> None:
     if profile.n != host.n:
         raise ValueError(f"profile n={profile.n} does not match host n={host.n}")
+
+
+def _labelled_arcs(host: TemporalGraph, profile: StrategyProfile):
+    """(v, w, label) per bought arc, labels from the host."""
+    _check_profile_n(host, profile)
     rows = host._label_rows()
     for v in range(profile.n):
         for w in profile.strategies[v]:
@@ -230,8 +242,7 @@ class _CreatedState:
 
 
 def agent_cost(host: TemporalGraph, profile: StrategyProfile, v: int) -> CostVector:
-    if not (0 <= v < host.n):
-        raise ValueError(f"agent {v} out of range")
+    _check_agent(host.n, v)
     return _agent_costs(_CreatedState(host, profile))[v]
 
 

@@ -117,6 +117,9 @@ def test_necessary_set_empty_for_antiparallel():
     assert necessary_set(host, p, 1, 0) == set()
     with pytest.raises(ValueError):
         necessary_set(host, p, 0, 2)
+    for u in (99, -1):
+        with pytest.raises(ValueError, match=rf"^agent {u} out of range$"):
+            necessary_set(host, p, u, 0)
 
 
 def _near_miss_geometry(z_label: int):
@@ -217,7 +220,7 @@ def test_audits_reject_profile_of_other_size():
         StrategyProfile(6, [set()] * 5 + [{0}]),
     ]
     for p in profiles:
-        for audit in (audit_profile, find_forbidden_structure, freeze_relabel):
+        for audit in (audit_profile, audit_edge_bounds, find_forbidden_structure, freeze_relabel):
             with pytest.raises(ValueError, match="does not match host"):
                 audit(host, p)
     incomplete = TemporalGraph(3, {(0, 1): 1})

@@ -51,6 +51,15 @@ def test_reports_are_byte_deterministic(tmp_path):
             assert other.csv_path.read_bytes() == a.csv_path.read_bytes(), scenario
 
 
+def test_missing_seed_runs_as_seed_0(tmp_path):
+    for scenario in sorted(TINY):
+        config = {"scenario": scenario, **TINY[scenario]}
+        a = run_experiment(config, out_dir=tmp_path / scenario / "a")
+        b = run_experiment({**config, "seed": 0}, out_dir=tmp_path / scenario / "b")
+        assert a.json_path.read_bytes() == b.json_path.read_bytes(), scenario
+        assert a.csv_path.read_bytes() == b.csv_path.read_bytes(), scenario
+
+
 # SHA-256 of the seed-0 reports at default config.  Any change to these bytes
 # is a change of results and must be deliberate.
 GOLDEN_SHA256 = {

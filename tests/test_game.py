@@ -54,6 +54,17 @@ def test_profile_validation():
     assert p[0] == frozenset({1, 2}) and p[1] == frozenset()
 
 
+@pytest.mark.parametrize("make, agent", [
+    (lambda: empty_profile(3).with_strategy(-1, [2]), -1),
+    (lambda: empty_profile(3).with_strategy(9, [0]), 9),
+    (lambda: StrategyProfile(3, {5: [0]}), 5),
+    (lambda: StrategyProfile(3, {0: [1], -1: [2]}), -1),
+], ids=["with_strategy-below", "with_strategy-above", "mapping-above", "mapping-below"])
+def test_profile_rejects_agent_out_of_range(make, agent):
+    with pytest.raises(ValueError, match=rf"^agent {agent} out of range$"):
+        make()
+
+
 def test_profile_arcs_and_canonical():
     p = StrategyProfile(4, [{2, 1}, set(), {0}, set()])
     assert p.arcs() == [(0, 1), (0, 2), (2, 0)]
