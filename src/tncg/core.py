@@ -184,7 +184,8 @@ def set_to_mask(nodes: Iterable[int]) -> int:
 
 def _is_matching(pairs: Iterable[Pair]) -> bool:
     """True iff no two pairs share an endpoint.  Merging such a class takes
-    one pass, so the reach kernels skip `_merge_class` for it."""
+    one pass, so `_reach_sweep` skips `_merge_class` for it and
+    `optimum._EdgeMasks` keeps no component memo for it."""
     seen: set[int] = set()
     for u, v in pairs:
         if u in seen or v in seen:
@@ -197,7 +198,8 @@ def _is_matching(pairs: Iterable[Pair]) -> bool:
 def _merge_class(reached: list[int], pairs: Iterable[Pair]) -> None:
     """Merge the masks of each pair's endpoints until nothing changes, so each
     node of a component of one label class ends with the component's union.
-    The last pass only confirms, which a matching does not need."""
+    The last pass only confirms, which a matching does not need.  Only
+    `_reach_sweep` uses it; `optimum._EdgeMasks` merges memoised components."""
     changed = True
     while changed:
         changed = False

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Pair, TemporalGraph, _merge_class, _mono_spanning_tree
+from .core import Pair, TemporalGraph, _mono_spanning_tree, mask_to_set
 from .errors import NotASpanner, NotTemporallyConnected, SearchSpaceExceeded
 from .game import StrategyProfile, social_cost
 from .responses import DEFAULT_BUDGET, _check_budget
@@ -26,39 +26,49 @@ class _EdgeMasks:
         classes = host._label_classes()
         self.bit = {p: 1 << i for i, p in enumerate(p for _, ps, _ in classes for p in ps)}
         self.all = (1 << len(self.bit)) - 1
-        # (mask of the class, its edges as (bit, u, v), the host's matching
-        # flag), ascending label
+        # (mask of the class, its edges as (bit, u, v), None for a matching
+        # or else (shift, width mask, its pairs, component memo)); a class's
+        # bits are contiguous, so its kept edges shift down to a memo key
         self.classes = []
-        # per non-matching class: (shift, width mask, its pairs, deficit memo);
-        # a class's bits are contiguous, so its kept edges shift down to a key
-        self.dense = []
         shift = 0
         for _, pairs, matching in classes:
             es = [(self.bit[p], *p) for p in pairs]
-            self.classes.append((sum(b for b, _, _ in es), es, matching))
-            if not matching:
-                self.dense.append((shift, (1 << len(pairs)) - 1, pairs, {}))
+            dense = None if matching else (shift, (1 << len(pairs)) - 1, pairs, {})
+            self.classes.append((sum(b for b, _, _ in es), es, dense))
             shift += len(pairs)
+        self.dense = [d for _, _, d in self.classes if d]   # for the gossip bound
 
     def connected(self, sub: int) -> bool:
         """True iff the edges in `sub` leave the nodes temporally connected.
 
         One all-sources sweep: reached[x] is the mask of sources that have
-        reached x.  Label classes go in ascending order; within a class the
-        kept edges merge their endpoints' masks until nothing changes
-        (`core._merge_class`), because edges of one label can be used in
-        sequence.  A class whose edges share no endpoint needs one pass.
+        reached x.  Label classes go in ascending order.  Edges of one label
+        can be used in sequence, so each node of a component of a class's
+        kept edges ends with the OR of the component's masks.  A matching
+        class merges its kept edges in one pass; any other class takes its
+        components from a memo keyed on its kept edges (`_components`),
+        shared with `lower_bound`.
         """
         reached = [1 << x for x in range(self.host.n)]
-        for cmask, es, matching in self.classes:
+        for cmask, es, dense in self.classes:
             if not sub & cmask:
                 continue
-            if matching:
+            if dense is None:
                 for b, u, v in es:
                     if sub & b:
                         reached[u] = reached[v] = reached[u] | reached[v]
                 continue
-            _merge_class(reached, [(u, v) for b, u, v in es if sub & b])
+            shift, width, pairs, memo = dense
+            key = sub >> shift & width
+            entry = memo.get(key)
+            if entry is None:
+                entry = memo[key] = _components(pairs, key)
+            for comp in entry[0]:
+                merged = 0
+                for x in comp:
+                    merged |= reached[x]
+                for x in comp:
+                    reached[x] = merged
         # every mask lies within full, so the smallest equals it iff all do
         return min(reached) == self.full
 
@@ -70,16 +80,17 @@ class _EdgeMasks:
         components of k >= 3 nodes of each label class restricted to
         `avail`, h(3) = 1 and h(k) = k - 3 above; the gossip argument of
         `minimum_spanner` needs n >= 4, and below 5 the n term wins anyway.
-        D is memoised per class on its kept edges.
+        Each class's term is read from the component memo it shares with
+        `connected`.
         """
         n = self.host.n
         d = 0
         for shift, width, pairs, memo in self.dense:
             key = avail >> shift & width
-            h = memo.get(key)
-            if h is None:
-                h = memo[key] = _deficit(pairs, key)
-            d += h
+            entry = memo.get(key)
+            if entry is None:
+                entry = memo[key] = _components(pairs, key)
+            d += entry[1]
         return max(n, 2 * n - 4 - d)
 
     def graph(self, sub: int, order) -> TemporalGraph:
@@ -91,11 +102,12 @@ class _EdgeMasks:
         )
 
 
-def _deficit(pairs: list[Pair], key: int) -> int:
-    """Sum of h(k) over the components of the pairs picked by `key`'s bits:
-    h(k) = 0 for k = 2, 1 for k = 3, k - 3 for k >= 4.  That is how many more
-    two-party calls a gossip among a component's k nodes takes than the
-    fewest edges, k - 1, that join them."""
+def _components(pairs: list[Pair], key: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The components of at least 2 nodes of the pairs picked by `key`'s
+    bits, as node tuples, and the sum of h(k) over them: h(k) = 0 for k = 2,
+    1 for k = 3, k - 3 for k >= 4.  That is how many more two-party calls a
+    gossip among a component's k nodes takes than the fewest edges, k - 1,
+    that join them."""
     comp: dict[int, int] = {}       # node -> node mask of its component
     for i, (u, v) in enumerate(pairs):
         if key >> i & 1:
@@ -105,8 +117,8 @@ def _deficit(pairs: list[Pair], key: int) -> int:
                 low = todo & -todo
                 comp[low.bit_length() - 1] = merged
                 todo ^= low
-    sizes = [c.bit_count() for c in set(comp.values())]
-    return sum(1 if k == 3 else k - 3 for k in sizes if k >= 3)
+    comps = tuple(tuple(mask_to_set(c)) for c in set(comp.values()))
+    return comps, sum(1 if len(c) == 3 else len(c) - 3 for c in comps if len(c) >= 3)
 
 
 def _minimal_keep(masks: _EdgeMasks) -> tuple[int, list[Pair]]:
@@ -173,7 +185,8 @@ def minimum_spanner(
     from the one an earlier order found; the size does not.
 
     Search nodes are edge bitmasks, and each node runs at most one
-    connectivity sweep: an exclude child keeps its parent's retained set,
+    connectivity sweep, which shares the bound's memo of the components of
+    non-matching classes: an exclude child keeps its parent's retained set,
     already found disconnected, and an include child's retained and
     undecided edges are its parent's, already found connected, with the
     same bound.  An include child whose retained edges are fewer than the

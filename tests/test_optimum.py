@@ -164,7 +164,11 @@ def test_lower_bound_never_exceeds_the_optimum():
 
 @pytest.mark.parametrize(
     "args, nodes, opt",
-    [((6, 12, 0), 809, 7), ((6, 12, 1), 313, 7), ((6, 12, 2), 497, 7), ((7, 20, 2), 6681, 10)],
+    [
+        ((6, 12, 0), 809, 7), ((6, 12, 1), 313, 7), ((6, 12, 2), 497, 7), ((7, 20, 2), 6681, 10),
+        # four labels: conference classes of 3, 5 and 6 edges
+        ((6, 4, 8), 1309, 7),
+    ],
 )
 def test_minimum_spanner_search_tree_is_pinned(args, nodes, opt):
     # the exact node count of the search: a budget one short must give up
@@ -182,18 +186,48 @@ def graphs_with_edge_masks(draw):
     labels = draw(st.lists(st.sampled_from([None, 1, 2, 3, 4, 5]), min_size=len(pairs), max_size=len(pairs)))
     g = TemporalGraph(n, {p: lab for p, lab in zip(pairs, labels) if lab is not None})
     # drop a few edges, so that connected subsets come up as well
-    dropped = draw(st.sets(st.integers(0, max(g.edge_count - 1, 0)), max_size=g.edge_count // 2))
-    return g, (2**g.edge_count - 1) & ~sum(1 << i for i in dropped)
+    full = 2**g.edge_count - 1
+    dropped = st.sets(st.integers(0, max(g.edge_count - 1, 0)), max_size=g.edge_count // 2)
+    return g, [full & ~sum(1 << i for i in d) for d in draw(st.lists(dropped, min_size=2, max_size=2))]
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(graphs_with_edge_masks())
 def test_edge_mask_kernel_matches_rebuilt_graph(case):
-    g, mask = case
+    # one kernel answers every mask, so later masks hit the component memo:
+    # a repeat hits it in every class, and a mask that agrees with the first
+    # only on one conference class hits it there, with other masks flowing in
+    g, (first, second) = case
     masks = _EdgeMasks(g)
-    sub = TemporalGraph(g.n, {p: lab for p, lab in g.edges.items() if mask & masks.bit[p]})
-    got = masks.connected(mask)
-    assert got == is_temporally_connected(sub) == brute_connected(sub)
+    subs = [first, second, first]
+    if masks.dense:
+        shift, width, _, _ = masks.dense[0]
+        inside = width << shift
+        subs.append(first & inside | second & ~inside)
+    for mask in subs:
+        sub = TemporalGraph(g.n, {p: lab for p, lab in g.edges.items() if mask & masks.bit[p]})
+        assert masks.connected(mask) == is_temporally_connected(sub) == brute_connected(sub)
+
+
+def test_component_memo_serves_connected_and_lower_bound():
+    # few labels make large conference classes, where the memo does work;
+    # connected and lower_bound calls interleave on one kernel per host, so
+    # each reads entries the other filled
+    rng = random.Random(610)
+    sizes = set()
+    for host in branching_hosts(rng, 6, (3, 6), 4) + branching_hosts(rng, 7, (3, 6), 2):
+        masks = _EdgeMasks(host)
+        n = host.n
+        for i in range(48):
+            sub = sum(masks.bit[p] for p in host.edges if rng.random() < 0.75)
+            order = ("connected", "lower_bound") if i % 2 else ("lower_bound", "connected")
+            got = {name: getattr(masks, name)(sub) for name in order}
+            assert got["connected"] == brute_connected(masks.graph(sub, sorted(host.edges)))
+            comps = class_component_sizes(masks, sub)
+            d = sum(1 if k == 3 else k - 3 for k in comps if k >= 3)
+            assert got["lower_bound"] == max(n, 2 * n - 4 - d)
+            sizes.update(comps)
+    assert max(sizes) >= 4
 
 
 def test_minimum_spanner_tree_shortcut():
