@@ -198,8 +198,10 @@ def _is_matching(pairs: Iterable[Pair]) -> bool:
 def _merge_class(reached: list[int], pairs: Iterable[Pair]) -> None:
     """Merge the masks of each pair's endpoints until nothing changes, so each
     node of a component of one label class ends with the component's union.
-    The last pass only confirms, which a matching does not need.  Only
-    `_reach_sweep` uses it; `optimum._EdgeMasks` merges memoised components."""
+    The last pass only confirms, which a matching does not need.
+    `_reach_sweep` uses it, and `optimum.minimum_spanner` once per host for
+    its table of what each node reaches from each class on;
+    `optimum._EdgeMasks` merges memoised components instead."""
     changed = True
     while changed:
         changed = False

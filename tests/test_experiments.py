@@ -80,8 +80,8 @@ GOLDEN_SHA256 = {
         "60413bf230be186ea87d2dcbb91a8f20e8e01acc5e932b521bd1d4ef31f14902",
     ),
     "random-ge-sweep": (
-        "2250248ca09bc16a12d2e0004a60620270c3f8b3830183b95de79af87325e21c",
-        "e67a3fa6c69cf92b0e322891e07cd39c85d8bb4407c7afe35a514c5117ec5525",
+        "436d48c5c588fa6b457e38995e03d69c46f3be1c020657ad5938d0fa0dedf21f",
+        "73500353a55c4d7246f7ab220802c014b0530a94442a1a620700bb5860e91c19",
     ),
     "freeze-relabel-audit": (
         "02b7e73bd7bf60a77c5c60b5d74c413f33d9663096dafb037223119eaad0c50f",

@@ -103,10 +103,11 @@ def test_spanners_match_brute_force_where_search_branches():
     rng = random.Random(608)
     # n=5 has 10 pairs, so t <= 10 on a host whose labels are exactly 1..t;
     # lifetimes 3-6 give label classes of 3 and 4 nodes; on distinct-label
-    # hosts every class is one edge
+    # hosts every class is one edge; n=6, t=12 hosts cross many class
+    # boundaries, where the search's reach memo prunes
     hosts = (
         branching_hosts(rng, 5, (8, 10), 30)
-        + branching_hosts(rng, 6, (12, 12), 4)
+        + branching_hosts(rng, 6, (12, 12), 16)
         + branching_hosts(rng, 5, (3, 6), 20)
         + branching_hosts(rng, 6, (4, 6), 4)
         + branching_hosts(rng, 5, None, 10, distinct=True)
@@ -165,9 +166,10 @@ def test_lower_bound_never_exceeds_the_optimum():
 @pytest.mark.parametrize(
     "args, nodes, opt",
     [
-        ((6, 12, 0), 809, 7), ((6, 12, 1), 313, 7), ((6, 12, 2), 497, 7), ((7, 20, 2), 6681, 10),
+        ((6, 12, 0), 371, 7), ((6, 12, 1), 265, 7), ((6, 12, 2), 188, 7), ((7, 20, 2), 909, 10),
         # four labels: conference classes of 3, 5 and 6 edges
-        ((6, 4, 8), 1309, 7),
+        ((6, 4, 8), 156, 7),
+        ((8, 24, 0), 9586, 11),
     ],
 )
 def test_minimum_spanner_search_tree_is_pinned(args, nodes, opt):
