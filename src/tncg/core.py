@@ -185,7 +185,7 @@ def set_to_mask(nodes: Iterable[int]) -> int:
 def _is_matching(pairs: Iterable[Pair]) -> bool:
     """True iff no two pairs share an endpoint.  Merging such a class takes
     one pass, so `_reach_sweep` skips `_merge_class` for it and
-    `optimum._EdgeMasks` keeps no component memo for it."""
+    `optimum._merge` tracks no components for it."""
     seen: set[int] = set()
     for u, v in pairs:
         if u in seen or v in seen:
@@ -199,9 +199,8 @@ def _merge_class(reached: list[int], pairs: Iterable[Pair]) -> None:
     """Merge the masks of each pair's endpoints until nothing changes, so each
     node of a component of one label class ends with the component's union.
     The last pass only confirms, which a matching does not need.
-    `_reach_sweep` uses it, and `optimum.minimum_spanner` once per host for
-    its table of what each node reaches from each class on;
-    `optimum._EdgeMasks` merges memoised components instead."""
+    `_reach_sweep` uses it; `optimum._merge` joins components edge by edge
+    instead, since the spanner search needs them."""
     changed = True
     while changed:
         changed = False

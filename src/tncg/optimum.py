@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Pair, TemporalGraph, _merge_class, _mono_spanning_tree, mask_to_set
+from .core import TemporalGraph, _mono_spanning_tree
 from .errors import NotASpanner, NotTemporallyConnected, SearchSpaceExceeded
 from .game import StrategyProfile, social_cost
 from .responses import DEFAULT_BUDGET, _check_budget
@@ -20,7 +20,7 @@ class _EdgeMasks:
     its next edge's up.
     """
 
-    __slots__ = ("host", "full", "all", "bit", "classes", "dense")
+    __slots__ = ("host", "full", "all", "bit", "classes")
 
     def __init__(self, host: TemporalGraph):
         self.host = host
@@ -28,49 +28,23 @@ class _EdgeMasks:
         classes = host._label_classes()
         self.bit = {p: 1 << i for i, p in enumerate(p for _, ps, _ in classes for p in ps)}
         self.all = (1 << len(self.bit)) - 1
-        # (mask of the class, its edges as (bit, u, v), None for a matching
-        # or else (shift, width mask, its pairs, component memo)); a class's
-        # bits are contiguous, so its kept edges shift down to a memo key
+        # (mask of the class, its edges as (bit, u, v), matching)
         self.classes = []
-        shift = 0
         for _, pairs, matching in classes:
             es = [(self.bit[p], *p) for p in pairs]
-            dense = None if matching else (shift, (1 << len(pairs)) - 1, pairs, {})
-            self.classes.append((sum(b for b, _, _ in es), es, dense))
-            shift += len(pairs)
-        self.dense = [d for _, _, d in self.classes if d]   # for the gossip bound
+            self.classes.append((sum(b for b, _, _ in es), es, matching))
 
     def connected(self, sub: int) -> bool:
         """True iff the edges in `sub` leave the nodes temporally connected.
 
         One all-sources sweep: reached[x] is the mask of sources that have
-        reached x.  Label classes go in ascending order.  Edges of one label
-        can be used in sequence, so each node of a component of a class's
-        kept edges ends with the OR of the component's masks.  A matching
-        class merges its kept edges in one pass; any other class takes its
-        components from a memo keyed on its kept edges (`_components`),
-        shared with `lower_bound`.
+        reached x.  Label classes go in ascending order, each merged by
+        `_merge`.
         """
         reached = [1 << x for x in range(self.host.n)]
-        for cmask, es, dense in self.classes:
-            if not sub & cmask:
-                continue
-            if dense is None:
-                for b, u, v in es:
-                    if sub & b:
-                        reached[u] = reached[v] = reached[u] | reached[v]
-                continue
-            shift, width, pairs, memo = dense
-            key = sub >> shift & width
-            entry = memo.get(key)
-            if entry is None:
-                entry = memo[key] = _components(pairs, key)
-            for comp in entry[0]:
-                merged = 0
-                for x in comp:
-                    merged |= reached[x]
-                for x in comp:
-                    reached[x] = merged
+        for cmask, es, matching in self.classes:
+            if sub & cmask:
+                _merge(reached, es, matching, sub)
         # every mask lies within full, so the smallest equals it iff all do
         return min(reached) == self.full
 
@@ -78,76 +52,43 @@ class _EdgeMasks:
         """A lower bound on the edges of any spanner within `avail`, given
         that no label class of the host spans: max(n, 2n - 4 - D).
 
-        n holds since a spanning tree is single-label.  D sums h(k) over the
-        components of k >= 3 nodes of each label class restricted to
-        `avail`, h(3) = 1 and h(k) = k - 3 above; the gossip argument of
+        n holds since a spanning tree is single-label.  D sums `_excess`
+        over the label classes restricted to `avail`; the gossip argument of
         `minimum_spanner` needs n >= 4, and below 5 the n term wins anyway.
-        Each class's term is read from the component memo it shares with
-        `connected`.
+        The search carries D itself, so this serves its root.
         """
         n = self.host.n
-        d = 0
-        for shift, width, pairs, memo in self.dense:
-            key = avail >> shift & width
-            entry = memo.get(key)
-            if entry is None:
-                entry = memo[key] = _components(pairs, key)
-            d += entry[1]
+        scratch = [0] * n
+        d = sum(_excess(_merge(scratch, es, matching, avail)) for _, es, matching in self.classes)
         return max(n, 2 * n - 4 - d)
 
-    def graph(self, sub: int, order) -> TemporalGraph:
-        """The subgraph of the edges in `sub`, inserted in `order`."""
-        edges = self.host.edges
+    def graph(self, sub: int) -> TemporalGraph:
+        """The subgraph of the edges in `sub`, in lexicographic pair order."""
         bit = self.bit
         return TemporalGraph(
-            self.host.n, {p: edges[p] for p in order if sub & bit[p]}
+            self.host.n, {p: lab for p, lab in sorted(self.host.edges.items()) if sub & bit[p]}
         )
 
 
-def _components(pairs: list[Pair], key: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The components of at least 2 nodes of the pairs picked by `key`'s
-    bits, as node tuples, and the sum of h(k) over them: h(k) = 0 for k = 2,
-    1 for k = 3, k - 3 for k >= 4.  That is how many more two-party calls a
-    gossip among a component's k nodes takes than the fewest edges, k - 1,
-    that join them."""
-    comp: dict[int, int] = {}       # node -> node mask of its component
-    for i, (u, v) in enumerate(pairs):
-        if key >> i & 1:
-            merged = comp.get(u, 1 << u) | comp.get(v, 1 << v)
-            todo = merged
-            while todo:
-                low = todo & -todo
-                comp[low.bit_length() - 1] = merged
-                todo ^= low
-    comps = tuple(tuple(mask_to_set(c)) for c in set(comp.values()))
-    return comps, sum(1 if len(c) == 3 else len(c) - 3 for c in comps if len(c) >= 3)
-
-
-def _minimal_keep(masks: _EdgeMasks) -> tuple[int, list[Pair]]:
-    """Keep-mask of the greedy removal pass, and the removal order."""
-    edges = masks.host.edges
-    order = sorted(edges, key=lambda p: (-edges[p], p))
-    keep = masks.all
-    for p in order:
-        trial = keep ^ masks.bit[p]
-        if masks.connected(trial):
-            keep = trial
-    return keep, order
-
-
-def minimal_spanner(host: TemporalGraph) -> TemporalGraph:
-    """Greedy single-pass removal, descending label then lexicographic pair.
-
-    One pass suffices for minimality: an edge kept because its removal
-    disconnected the graph at the time stays non-removable in every later
-    subgraph, since deleting edges never adds temporal paths.  Each removal
-    is tested on an edge bitmask; only the returned spanner is built.
-    """
-    masks = _EdgeMasks(host)
-    if not masks.connected(masks.all):
-        raise NotTemporallyConnected("graph is not temporally connected")
-    keep, order = _minimal_keep(masks)
-    return masks.graph(keep, order)
+def _merge(
+    reached: list[int], es: list[tuple[int, int, int]], matching: bool, sub: int
+) -> list[int]:
+    """Merge the edges of one label class that `sub` keeps into `reached`:
+    edges of one label can be used in sequence, so each node of a component
+    of the kept edges ends with the OR of the component's masks.  A matching
+    takes one pass and returns [], as its components have at most 2 nodes;
+    any other class is joined edge by edge (`_join`) and returns comp,
+    comp[x] the node mask of x's component."""
+    if matching:
+        for b, u, v in es:
+            if sub & b:
+                reached[u] = reached[v] = reached[u] | reached[v]
+        return []
+    comp = [1 << x for x in range(len(reached))]
+    for b, u, v in es:
+        if sub & b and not comp[u] >> v & 1:
+            _join(reached, comp, u, v)
+    return comp
 
 
 def _join(reached: list[int], comp: list[int], u: int, v: int) -> None:
@@ -162,6 +103,46 @@ def _join(reached: list[int], comp: list[int], u: int, v: int) -> None:
         reached[x] = mask
         comp[x] = merged
         todo ^= low
+
+
+def _excess(comp: list[int]) -> int:
+    """A class's term of D: the sum of h(k) over its components of k >= 3
+    nodes, h(3) = 1 and h(k) = k - 3 above.  That is how many more
+    two-party calls a gossip among a component's k nodes takes than the
+    fewest edges, k - 1, that join them."""
+    d = 0
+    for m in set(comp):
+        k = m.bit_count()
+        if k > 3:
+            d += k - 3
+        elif k == 3:
+            d += 1
+    return d
+
+
+def _minimal_keep(masks: _EdgeMasks) -> int:
+    """Keep-mask of the greedy removal pass: descending label, then
+    ascending pair."""
+    keep = masks.all
+    for _, es, _ in reversed(masks.classes):
+        for b, _, _ in es:
+            if masks.connected(keep ^ b):
+                keep ^= b
+    return keep
+
+
+def minimal_spanner(host: TemporalGraph) -> TemporalGraph:
+    """Greedy single-pass removal, descending label then lexicographic pair.
+
+    One pass suffices for minimality: an edge kept because its removal
+    disconnected the graph at the time stays non-removable in every later
+    subgraph, since deleting edges never adds temporal paths.  Each removal
+    is tested on an edge bitmask; only the returned spanner is built.
+    """
+    masks = _EdgeMasks(host)
+    if not masks.connected(masks.all):
+        raise NotTemporallyConnected("graph is not temporally connected")
+    return masks.graph(_minimal_keep(masks))
 
 
 def _reaches_all(into: list[tuple[int, ...]], reached: list[int], full: int) -> bool:
@@ -217,18 +198,25 @@ def minimum_spanner(
     breaking one of its components is what raises the bound.  Matching
     classes are checked at their end.
 
-    Lower bound.  `_EdgeMasks.lower_bound` is max(n, 2n - 4 - D) for n >= 4.
-    n holds because no class spans, and a spanning-tree spanner lies in one
-    class.  For 2n - 4 - D, read a spanner S as a gossip schedule: in
-    ascending label, the nodes of each component of a label class of S pool
-    what they know, a conference call.  Replace each component with k
-    nodes, which has at least k - 1 edges, by a two-party gossip among its
-    nodes: 1 call for k = 2, 3 for k = 3, 2k - 4 for k >= 4.  The result is
-    an all-to-all gossip, which takes at least 2n - 4 calls (Baker &
-    Shostak 1972).  So |S| >= 2n - 4 minus the sum of h(k) = calls - (k - 1)
-    over the components of S, and that sum is at most D, whose components
-    contain them.  When the incumbent meets the bound at the root it is
-    returned without a search.
+    Lower bound.  max(n, 2n - 4 - D) for n >= 4, D taken over the
+    retained and undecided edges.  n holds because no class spans, and a
+    spanning-tree spanner lies in one class.  For 2n - 4 - D, read a
+    spanner S as a gossip schedule: in ascending label, the nodes of each
+    component of a label class of S pool what they know, a conference call.
+    Replace each component with k nodes, which has at least k - 1 edges, by
+    a two-party gossip among its nodes: 1 call for k = 2, 3 for k = 3,
+    2k - 4 for k >= 4.  The result is an all-to-all gossip, which takes at
+    least 2n - 4 calls (Baker & Shostak 1972).  So |S| >= 2n - 4 minus the
+    sum of h(k) = calls - (k - 1) over the components of S, and that sum is
+    at most D, whose components contain them.  When the incumbent meets
+    the bound at the root (`_EdgeMasks.lower_bound`) it is returned without
+    a search.  Below the root the search carries D: d is the term of the
+    decided classes' retained edges, updated as each class ends, and
+    rest[c] that of the classes from c on with every edge, built with the
+    reach table.  So the bound is max(n, 2n - 4 - d - rest[c]) at a
+    boundary; at an exclude inside a class that is not a matching, the
+    class's own term, read from the rest-of-class joins of the reach
+    check, is added to rest[c+1].
     """
     _check_budget(budget_cap)
     masks = _EdgeMasks(host)
@@ -243,31 +231,35 @@ def minimum_spanner(
         label, tree = mono
         return TemporalGraph(n, {p: label for p in tree}), n - 1
 
-    keep, _ = _minimal_keep(masks)
+    keep = _minimal_keep(masks)
     best = [keep, keep.bit_count()]
     root = masks.lower_bound(masks.all)
-    lex = sorted(host.edges)
     if best[1] == root:
-        return masks.graph(keep, lex), root
+        return masks.graph(keep), root
     full = masks.full
     every = masks.all
     classes = masks.classes
     k = len(classes)
-    # into[c][z]: the nodes that reach z over the classes from c on
+    # into[c][z]: the nodes that reach z over the classes from c on;
+    # rest[c]: the D term of those classes with every edge
     back = [1 << x for x in range(n)]
     into = [[(z,) for z in range(n)]]
-    for _, pairs, _ in reversed(host._label_classes()):
-        _merge_class(back, pairs)
+    rest = [0]
+    for _, es, matching in reversed(classes):
+        rest.append(rest[-1] + _excess(_merge(back, es, matching, every)))
         into.append([tuple(y for y in range(n) if back[y] >> z & 1) for z in range(n)])
     into.reverse()
+    rest.reverse()
     singles = [1 << x for x in range(n)]
-    lower_bound = masks.lower_bound
     memo: dict[int, int] = {}
     nodes = [0]
 
-    def rec(c: int, j: int, inc: int, count: int, reached: list[int], comp: list[int] | None):
+    def rec(
+        c: int, j: int, inc: int, count: int, reached: list[int], comp: list[int] | None, d: int
+    ):
         # decide edge j of class c; j == 0 is the boundary before class c,
-        # c == k the end; comp is None in a matching
+        # c == k the end; comp is None in a matching; d is the D term of
+        # the kept edges of the classes before c
         nodes[0] += 1
         if nodes[0] > budget_cap:
             raise SearchSpaceExceeded(
@@ -290,42 +282,44 @@ def minimum_spanner(
             memo[key] = count
             if not _reaches_all(into[c], reached, full):
                 return
-            first = classes[c][0] & -classes[c][0]
-            if lower_bound(inc | every & -first) >= best[1]:
+            if max(n, 2 * n - 4 - d - rest[c]) >= best[1]:
                 return
-            comp = None if classes[c][2] is None else singles
+            comp = None if classes[c][2] else singles
         es = classes[c][1]
         b, u, v = es[j]
         c2, j2 = (c, j + 1) if j + 1 < len(es) else (c + 1, 0)
         if comp is None:
-            rec(c2, j2, inc, count, reached, None)
-        elif lower_bound(inc | every & -(b << 1)) < best[1]:
+            rec(c2, j2, inc, count, reached, None, d)
+        else:
             # the rest of this class kept, then every later class
             r, cm = reached[:], comp[:]
             for _, x, y in es[j + 1:]:
                 if not cm[x] >> y & 1:
                     _join(r, cm, x, y)
             if _reaches_all(into[c + 1], r, full):
-                rec(c2, j2, inc, count, reached, comp)
+                ex = _excess(cm)
+                if max(n, 2 * n - 4 - d - ex - rest[c + 1]) < best[1]:
+                    # on the class's last edge nothing was joined: cm is comp
+                    rec(c2, j2, inc, count, reached, comp, d if j2 else d + ex)
         if count + 1 >= best[1]:
             return
         if comp is None:
             if reached[u] != reached[v]:
                 r = reached[:]
                 r[u] = r[v] = reached[u] | reached[v]
-                rec(c2, j2, inc | b, count + 1, r, None)
+                rec(c2, j2, inc | b, count + 1, r, None, d)
         elif not comp[u] >> v & 1:
             r, cm = reached[:], comp[:]
             _join(r, cm, u, v)
-            rec(c2, j2, inc | b, count + 1, r, cm)
+            rec(c2, j2, inc | b, count + 1, r, cm, d if j2 else d + _excess(cm))
 
     try:
-        rec(0, 0, 0, 0, singles, None)
+        rec(0, 0, 0, 0, singles, None, 0)
     finally:
         # rec refers to itself, so without this the memo would wait for a
         # full garbage collection
         del rec
-    return masks.graph(best[0], lex), best[1]
+    return masks.graph(best[0]), best[1]
 
 
 def poa_ratio(

@@ -271,7 +271,7 @@ def test_reach_and_edge_masks_on_matching_classes():
         if masks.connected(masks.all):
             # a minimal spanner and each one-edge cut of it sit on the edge
             # of connectivity, where a merge that stops early shows
-            keep, _ = _minimal_keep(masks)
+            keep = _minimal_keep(masks)
             subs += [keep] + [keep ^ b for b in masks.bit.values() if keep & b]
         for sub in subs:
             kept = TemporalGraph(n, {p: lab for p, lab in g.edges.items() if sub & masks.bit[p]})
