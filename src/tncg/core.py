@@ -107,14 +107,6 @@ class TemporalGraph:
                     f"host labels must be consecutive 1..{t}; missing {sorted(missing)}"
                 )
 
-    def without_edge(self, u: int, v: int) -> "TemporalGraph":
-        p = norm_pair(u, v)
-        if p not in self.edges:
-            raise ValueError(f"edge {p} not present")
-        rest = dict(self.edges)
-        del rest[p]
-        return TemporalGraph(self.n, rest)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TemporalGraph)
@@ -321,16 +313,6 @@ def is_temporal_spanner(host: TemporalGraph, sub: TemporalGraph) -> bool:
         if host.edges.get(p) != label:
             raise ValueError(f"edge {p} (label {label}) not in host with equal label")
     return is_temporally_connected(sub)
-
-
-def is_minimal_spanner(host: TemporalGraph, sub: TemporalGraph) -> bool:
-    """True iff sub is a spanner and dropping any single edge breaks it."""
-    if not is_temporal_spanner(host, sub):
-        return False
-    for p in sub.edges:
-        if is_temporally_connected(sub.without_edge(*p)):
-            return False
-    return True
 
 
 def compress_labels(g: TemporalGraph) -> TemporalGraph:

@@ -185,8 +185,12 @@ def find_forbidden_structure(
     graph, and four pairwise distinct arcs e_ij (i per agent, j per target)
     such that e_ij is bought by u_i, is not the {z, u_i} edge, carries a label
     >= label({z, u_i}), and target j lies in the necessary set of e_ij, for
-    two distinct targets x != y.  Returns the first witness in ascending scan
-    order, or None; a None on every input is the expected outcome.
+    two distinct targets x != y.  Returns the first witness in ascending
+    order of (z, u1, u2, x, y, e1x, e1y, e2x, e2y), or None; a None on every
+    input is the expected outcome.  Only pairs u1 < u2 are scanned: the
+    conditions are symmetric in the two agents, so a witness for (u2, u1)
+    is one for (u1, u2) with the agents swapped, and the first witness
+    always has u1 < u2.
     """
     state = _CreatedState(host, profile)
     return _find_forbidden(state, _necessary_masks(state, {}))
@@ -200,48 +204,27 @@ def _find_forbidden(
         nbrs = sorted(state.strategies[z] | state.buyers[z])
         if len(nbrs) < 2:
             continue
-        # per neighbor u: arcs owned by u, excluding the {z,u} pair, with
-        # label >= label({z,u}) and a non-empty necessary set
-        cand: dict[int, list[tuple[tuple[int, int], int]]] = {}
+        # per neighbor u: target -> u's arcs, ascending, that are not the
+        # {z,u} pair, carry label >= label({z,u}) and have the target in
+        # their necessary set; a witness needs two targets per agent
+        targets = []
         for u in nbrs:
-            lst = []
+            t: dict[int, list[tuple[int, int]]] = {}
             for w in sorted(state.strategies[u]):
-                if w == z:
-                    continue
-                arc = (u, w)
-                if rows[u][w] >= rows[z][u] and a_masks[arc]:
-                    lst.append((arc, a_masks[arc]))
-            cand[u] = lst
-        for u1 in nbrs:
-            for u2 in nbrs:
-                if u1 == u2 or not cand[u1] or not cand[u2]:
-                    continue
-                hit = _match_targets(cand[u1], cand[u2])
-                if hit is not None:
-                    x, y, e1x, e1y, e2x, e2y = hit
-                    return ForbiddenStructure(z, u1, u2, x, y, e1x, e1y, e2x, e2y)
-    return None
-
-
-def _match_targets(c1, c2):
-    """Two targets x < y, each in a necessary set of both agents, with the
-    two arcs per agent distinct."""
-    t1: dict[int, list[tuple[int, int]]] = {}
-    t2: dict[int, list[tuple[int, int]]] = {}
-    for arc, mask in c1:
-        for node in mask_to_set(mask):
-            t1.setdefault(node, []).append(arc)
-    for arc, mask in c2:
-        for node in mask_to_set(mask):
-            t2.setdefault(node, []).append(arc)
-    common = sorted(set(t1) & set(t2))
-    for xi in range(len(common)):
-        for yi in range(xi + 1, len(common)):
-            x, y = common[xi], common[yi]
-            pick1 = _distinct_pair(t1[x], t1[y])
-            pick2 = _distinct_pair(t2[x], t2[y])
-            if pick1 and pick2:
-                return x, y, pick1[0], pick1[1], pick2[0], pick2[1]
+                if w != z and rows[u][w] >= rows[z][u]:
+                    for node in mask_to_set(a_masks[(u, w)]):
+                        t.setdefault(node, []).append((u, w))
+            if len(t) >= 2:
+                targets.append((u, t))
+        for i, (u1, t1) in enumerate(targets):
+            for u2, t2 in targets[i + 1:]:
+                common = sorted(t1.keys() & t2.keys())
+                for xi, x in enumerate(common):
+                    for y in common[xi + 1:]:
+                        pick1 = _distinct_pair(t1[x], t1[y])
+                        pick2 = _distinct_pair(t2[x], t2[y])
+                        if pick1 and pick2:
+                            return ForbiddenStructure(z, u1, u2, x, y, *pick1, *pick2)
     return None
 
 

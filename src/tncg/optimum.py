@@ -1,17 +1,20 @@
-"""Temporal spanner optima and the price-of-anarchy ratio."""
+"""Temporal spanner optima, the spanner minimality predicate and the
+price-of-anarchy ratio."""
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
-from .core import TemporalGraph, _mono_spanning_tree
+from .core import TemporalGraph, _mono_spanning_tree, is_temporal_spanner
 from .errors import NotASpanner, NotTemporallyConnected, SearchSpaceExceeded
 from .game import StrategyProfile, social_cost
 from .responses import DEFAULT_BUDGET, _check_budget
 
 
 class _EdgeMasks:
-    """Bitset kernel over one host's edges, for the spanner searches.
+    """Bitset kernel over one host's edges, for the spanner searches and
+    the minimality predicate.
 
     The edges are laid out once in the host's cached (label, pair) order and
     an edge subset is an int bitmask over that layout, so no TemporalGraph
@@ -143,6 +146,15 @@ def minimal_spanner(host: TemporalGraph) -> TemporalGraph:
     if not masks.connected(masks.all):
         raise NotTemporallyConnected("graph is not temporally connected")
     return masks.graph(_minimal_keep(masks))
+
+
+def is_minimal_spanner(host: TemporalGraph, sub: TemporalGraph) -> bool:
+    """True iff sub is a spanner of host and dropping any single edge
+    breaks it; each drop is tested on an edge bitmask."""
+    if not is_temporal_spanner(host, sub):
+        return False
+    masks = _EdgeMasks(sub)
+    return not any(masks.connected(masks.all ^ b) for b in masks.bit.values())
 
 
 def _reaches_all(into: list[tuple[int, ...]], reached: list[int], full: int) -> bool:
@@ -313,9 +325,13 @@ def minimum_spanner(
             _join(r, cm, u, v)
             rec(c2, j2, inc | b, count + 1, r, cm, d if j2 else d + _excess(cm))
 
+    # rec nests one call per decided edge
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + len(masks.bit))
     try:
         rec(0, 0, 0, 0, singles, None, 0)
     finally:
+        sys.setrecursionlimit(limit)
         # rec refers to itself, so without this the memo would wait for a
         # full garbage collection
         del rec

@@ -9,7 +9,7 @@ package's label classes, bitmasks or connectivity checks, so a
 disagreement points at a real bug.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 from tncg import CostVector, TemporalGraph
 
@@ -117,3 +117,37 @@ def candidate_greedy(view):
     if best is None:
         return view.current, best_cost
     return frozenset(best), best_cost
+
+
+def brute_forbidden(n, edges, strategies, masks):
+    """First forbidden five-node configuration, or None, by enumerating
+    (z, u1, u2, x, y, e1x, e1y, e2x, e2y) in lexicographic order against
+    the definition: u1 != u2 are neighbors of z in the created graph, x < y,
+    e1x != e1y and e2x != e2y, and each e_ij is an arc (u_i, w) with w != z,
+    label >= label({z, u_i}) and target j in its necessary set.  edges maps
+    host pairs (a < b) to labels, strategies[v] is the set of endpoints v
+    buys, masks maps each bought arc to its necessary-set bitmask."""
+    def label(a, b):
+        return edges[(min(a, b), max(a, b))]
+
+    def usable(z, arc, target):
+        u, w = arc
+        return w != z and label(u, w) >= label(z, u) and masks[arc] >> target & 1
+
+    for z in range(n):
+        nbrs = [u for u in range(n) if u in strategies[z] or z in strategies[u]]
+        # arcs[u][j]: u's arcs, ascending, usable toward target j
+        arcs = {
+            u: [[(u, w) for w in sorted(strategies[u]) if usable(z, (u, w), j)] for j in range(n)]
+            for u in nbrs
+        }
+        for u1, u2 in product(nbrs, nbrs):
+            if u1 == u2:
+                continue
+            for x, y in combinations(range(n), 2):
+                for e1x, e1y, e2x, e2y in product(
+                    arcs[u1][x], arcs[u1][y], arcs[u2][x], arcs[u2][y]
+                ):
+                    if e1x != e1y and e2x != e2y:
+                        return z, u1, u2, x, y, e1x, e1y, e2x, e2y
+    return None

@@ -212,6 +212,16 @@ def test_budgeted_spanner_search_names_its_bracket(tmp_path, capsys):
     assert one_error_line(err).endswith("optimum in [4, 5]")
 
 
+def test_deep_spanner_search_is_exit_2(tmp_path, capsys):
+    # 1,035 edges and no spanning class: the search nests deeper than the
+    # default recursion limit and must still end on its bracket
+    host = tmp_path / "h.tg"
+    run(capsys, "gen", "random", "--n", "46", "--t", "1035", "--seed", "0", "-o", str(host))
+    code, out, err = run(capsys, "spanner", "--host", str(host), "--exact", "--budget", "5000")
+    assert code == 2 and out == ""
+    assert one_error_line(err).endswith("optimum in [49, 102]")
+
+
 def test_poa_on_one_node_host_is_exit_2(tmp_path, capsys):
     host = tmp_path / "one.tg"
     prof = tmp_path / "one.tsp"

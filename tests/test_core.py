@@ -333,13 +333,6 @@ def test_reach_evaluation_counter():
     assert reach_evaluations() == 2
 
 
-def test_without_edge():
-    g = path_graph([1, 2])
-    h = g.without_edge(0, 1)
-    assert h.edge_count == 1 and not h.has_edge(0, 1)
-    assert g.edge_count == 2  # original untouched
-
-
 def test_edges_are_read_only_and_pickle():
     g = TemporalGraph(3, {(0, 1): 1, (1, 2): 2})
     assert g.reach_mask(2) == 0b110

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from dataclasses import astuple
 
 import pytest
 
@@ -35,7 +36,7 @@ from tncg.core import reach_evaluations, reset_reach_evaluations
 from tncg.equilibrium import _ceil_sqrt_over, _dense_below_threshold, _find_forbidden
 from tncg.game import _CreatedState
 
-from oracles import brute_created_graph, brute_reach
+from oracles import brute_created_graph, brute_forbidden, brute_reach
 
 
 def test_check_ne_and_ge_on_families():
@@ -105,7 +106,8 @@ def test_necessary_set_matches_reach_difference():
             if u in p[w]:
                 rest = und  # antiparallel twin keeps the pair alive
             else:
-                rest = und.without_edge(u, w)
+                pair = (min(u, w), max(u, w))
+                rest = TemporalGraph(und.n, {q: lab for q, lab in und.edges.items() if q != pair})
             expect = brute_reach(und, u) - brute_reach(rest, u)
             assert necessary_set(host, p, u, w) == expect
 
@@ -173,6 +175,25 @@ def test_forbidden_scan_returns_first_witness():
         "z": 0, "u1": 1, "u2": 2, "x": 3, "y": 4,
         "e1x": [1, 5], "e1y": [1, 6], "e2x": [2, 7], "e2y": [2, 8],
     }
+
+
+def test_forbidden_scan_matches_brute_force():
+    # necessary sets forced at random, so witnesses occur, and the scan must
+    # return exactly the oracle's first one in lexicographic order
+    rng = random.Random(2101)
+    outcomes = set()
+    for _ in range(400):
+        n = rng.randint(5, 8)
+        host = gen_random_host(n, rng.randint(1, 4), rng.randrange(10**6))
+        p = gen_random_profile(host, rng.randint(n, 3 * n), rng.randrange(10**6))
+        masks = {
+            arc: sum(1 << x for x in range(n) if rng.random() < 0.3) for arc in p.arcs()
+        }
+        witness = _find_forbidden(_CreatedState(host, p), masks)
+        expect = brute_forbidden(n, host.edges, p.strategies, masks)
+        assert (witness and astuple(witness)) == expect
+        outcomes.add(expect is None)
+    assert outcomes == {True, False}
 
 
 def test_forbidden_structure_none_on_random_profiles():

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -259,6 +260,33 @@ def test_minimum_spanner_budget():
     spanner, size = minimum_spanner(g, budget_cap=0)
     assert size == brute_minimum_spanner(g) == 4
     assert is_temporal_spanner(g, spanner)
+
+
+def test_deep_search_gives_up_on_its_bracket():
+    # 1,035 edges and no spanning class: the search nests one call per
+    # decided edge, past the default recursion limit, so the limit is raised
+    # for the search and restored after it
+    limit = sys.getrecursionlimit()
+    with pytest.raises(SearchSpaceExceeded, match=r"optimum in \[49, 102\]$"):
+        minimum_spanner(gen_random_host(46, 1035, 0), budget_cap=5000)
+    assert sys.getrecursionlimit() == limit
+
+
+def test_minimality_predicate_matches_brute_force():
+    rng = random.Random(2121)
+    seen = set()
+    for _ in range(150):
+        n = rng.randint(3, 6)
+        host = gen_random_host(n, rng.randint(1, 3), rng.randrange(10**6))
+        items = [e for e in host.edges.items() if rng.random() < 0.6]
+        sub = TemporalGraph(n, dict(items))
+        expect = brute_connected(sub) and not any(
+            brute_connected(TemporalGraph(n, dict(items[:i] + items[i + 1:])))
+            for i in range(len(items))
+        )
+        assert is_minimal_spanner(host, sub) == expect
+        seen.add(expect)
+    assert seen == {True, False}
 
 
 def test_poa_ratio_hypercube():
