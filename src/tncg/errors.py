@@ -20,7 +20,17 @@ class FormatError(TncgError):
 
 
 class SearchSpaceExceeded(TncgError):
-    """An exact search hit its evaluation budget before proving optimality."""
+    """An exact search hit its evaluation budget before proving optimality.
+
+    `lower` and `upper` bracket the optimum where the search knows one, as
+    `minimum_spanner` does (its root bound and its incumbent); otherwise
+    they are None.
+    """
+
+    def __init__(self, message: str, lower: int | None = None, upper: int | None = None):
+        self.lower = lower
+        self.upper = upper
+        super().__init__(message)
 
 
 class PreconditionViolated(TncgError):

@@ -60,6 +60,19 @@ def brute_minimum_spanner(host: TemporalGraph) -> int:
     raise AssertionError("graph itself is not temporally connected")
 
 
+def brute_completion(n: int, kept, later):
+    """Fewest of the `later` ((a, b), label) items that, added to the `kept`
+    ones, leave every node reaching every node, by ascending-cardinality
+    subset enumeration; None if even all of them do not."""
+    kept, later = list(kept), sorted(later)
+    if not _spans(n, kept + later):
+        return None
+    for r in range(len(later) + 1):
+        for combo in combinations(later, r):
+            if _spans(n, kept + list(combo)):
+                return r
+
+
 def brute_created_graph(host, profile) -> TemporalGraph:
     """Undirected created graph: the host pair of every bought arc."""
     edges = {}

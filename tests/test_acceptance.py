@@ -137,9 +137,9 @@ def test_c4_reduction_oracles():
     )
 
 
-def test_c5_t2_existence():
+def test_c5_t2_existence(tmp_path):
     result = run_experiment(
-        {"scenario": "t2-existence-sweep", "seed": 20260816}, out_dir="/tmp"
+        {"scenario": "t2-existence-sweep", "seed": 20260816}, out_dir=tmp_path
     )
     s = result.report["summary"]
     ok = (
@@ -156,9 +156,9 @@ def test_c5_t2_existence():
     )
 
 
-def test_c6_structural_audits():
+def test_c6_structural_audits(tmp_path):
     result = run_experiment(
-        {"scenario": "random-ge-sweep", "seed": 20260816}, out_dir="/tmp"
+        {"scenario": "random-ge-sweep", "seed": 20260816}, out_dir=tmp_path
     )
     s = result.report["summary"]
     ok = s["pass"] and s["falsifications"] == 0 and s["instances"] >= 200
@@ -169,9 +169,9 @@ def test_c6_structural_audits():
     )
 
 
-def test_c7_freeze_relabel():
+def test_c7_freeze_relabel(tmp_path):
     result = run_experiment(
-        {"scenario": "freeze-relabel-audit", "seed": 20260816}, out_dir="/tmp"
+        {"scenario": "freeze-relabel-audit", "seed": 20260816}, out_dir=tmp_path
     )
     s = result.report["summary"]
     ok = s["pass"] and s["falsifications"] == 0 and s["ges_verified"] >= 30
@@ -181,9 +181,9 @@ def test_c7_freeze_relabel():
     )
 
 
-def test_c8_large_node():
+def test_c8_large_node(tmp_path):
     result = run_experiment(
-        {"scenario": "large-node-audit", "seed": 20260816}, out_dir="/tmp"
+        {"scenario": "large-node-audit", "seed": 20260816}, out_dir=tmp_path
     )
     s = result.report["summary"]
     rows = result.report["instances"]

@@ -22,9 +22,9 @@ from tncg import (
     poa_ratio,
 )
 from tncg.core import _mono_spanning_tree
-from tncg.optimum import _EdgeMasks
+from tncg.optimum import _EdgeMasks, _misses
 
-from oracles import brute_connected, brute_minimum_spanner
+from oracles import brute_completion, brute_connected, brute_minimum_spanner, brute_reach
 
 
 def test_minimal_spanner_properties():
@@ -170,14 +170,56 @@ def test_lower_bound_never_exceeds_the_optimum():
     assert {3, 4} <= sizes
 
 
+def test_broadcast_bound_never_exceeds_the_fewest_completing_edges():
+    # a state at the boundary before label L keeps a subset of the edges
+    # below L; by the broadcast bound a spanner that extends it keeps at
+    # least n - min_s |H_s| edges of label >= L, H_s the nodes whose mask
+    # holds s.  Checked against brute force on random kept subsets of hosts
+    # where the search branches, mostly where the bound beats
+    # ceil(deficient / 2); where it meets the brute-force count, a bound one
+    # higher would prune an optimum
+    rng = random.Random(2222)
+    hosts = branching_hosts(rng, 5, (5, 10), 30) + branching_hosts(rng, 6, (6, 12), 15)
+    stronger = tight = 0
+    for host in hosts:
+        n = host.n
+        labels = sorted(set(host.edges.values()))
+        edges = sorted(host.edges.items())
+        for _ in range(3):
+            label = rng.choice(labels[1:])
+            kept = [e for e in edges if e[1] < label and rng.random() < 0.6]
+            fewest = brute_completion(n, kept, [e for e in edges if e[1] >= label])
+            if fewest is None:
+                continue
+            kept_graph = TemporalGraph(n, dict(kept))
+            reached = [0] * n
+            for s in range(n):
+                for x in brute_reach(kept_graph, s):
+                    reached[x] |= 1 << s
+            # the largest need the kernel's test accepts is n - min_s |H_s|
+            bound = max((need for need in range(1, n + 1) if _misses(reached, need)), default=0)
+            assert bound <= fewest
+            deficient = n - reached.count((1 << n) - 1)
+            if bound > (deficient + 1) // 2:
+                stronger += 1
+                tight += bound == fewest
+    assert stronger >= 40 and tight >= 20
+
+
+# (gen_random_host arguments, search nodes, optimum); a test's id names its
+# host only, so re-pinning a count keeps the id
+PINNED_TREES = [
+    ((6, 12, 0), 64, 7), ((6, 12, 1), 42, 7), ((6, 12, 2), 81, 7), ((7, 20, 2), 137, 10),
+    # four labels: conference classes of 3, 5 and 6 edges
+    ((6, 4, 8), 8, 7),
+    ((8, 24, 0), 345, 11),
+    # many labels, mostly matchings: the broadcast bound's regime
+    ((9, 36, 3), 52423, 13),
+]
+
+
 @pytest.mark.parametrize(
-    "args, nodes, opt",
-    [
-        ((6, 12, 0), 371, 7), ((6, 12, 1), 265, 7), ((6, 12, 2), 188, 7), ((7, 20, 2), 909, 10),
-        # four labels: conference classes of 3, 5 and 6 edges
-        ((6, 4, 8), 156, 7),
-        ((8, 24, 0), 9586, 11),
-    ],
+    "args, nodes, opt", [pytest.param(*tree, id="%d-%d-%d" % tree[0]) for tree in PINNED_TREES]
 )
 def test_minimum_spanner_search_tree_is_pinned(args, nodes, opt):
     # the exact node count of the search: a budget one short must give up
@@ -267,9 +309,12 @@ def test_deep_search_gives_up_on_its_bracket():
     # decided edge, past the default recursion limit, so the limit is raised
     # for the search and restored after it
     limit = sys.getrecursionlimit()
-    with pytest.raises(SearchSpaceExceeded, match=r"optimum in \[49, 102\]$"):
+    with pytest.raises(SearchSpaceExceeded, match=r"optimum in \[49, 102\]$") as info:
         minimum_spanner(gen_random_host(46, 1035, 0), budget_cap=5000)
     assert sys.getrecursionlimit() == limit
+    # the bracket is data as well: the root bound and the incumbent
+    assert (info.value.lower, info.value.upper) == (49, 102)
+    assert str(info.value) == "spanner search exceeded budget of 5000 nodes; optimum in [49, 102]"
 
 
 def test_minimality_predicate_matches_brute_force():
