@@ -41,6 +41,11 @@ def _ints(parts: Sequence[str], path: str, lineno: int) -> list[int]:
 
 
 def parse_graph(text: str, path: str = "<string>") -> TemporalGraph:
+    return _parse_graph(text, path)[0]
+
+
+def _parse_graph(text: str, path: str) -> tuple[TemporalGraph, int, int]:
+    """The graph, the header's lifetime t and the header's line number."""
     lines = list(_significant_lines(text))
     if not lines:
         raise FormatError(path, 1, "missing header line 'n t'")
@@ -69,20 +74,18 @@ def parse_graph(text: str, path: str = "<string>") -> TemporalGraph:
         if pair in edges:
             raise FormatError(path, lineno, f"duplicate pair {pair}")
         edges[pair] = lab
-    return TemporalGraph(n, edges)
+    return TemporalGraph(n, edges), t, lines[0][0]
 
 
 def parse_host(text: str, path: str = "<string>") -> TemporalGraph:
-    g = parse_graph(text, path)
+    g, t, head = _parse_graph(text, path)
     try:
         g.validate_host()
     except ValueError as e:
         raise FormatError(path, None, str(e)) from None
-    lineno, header = next(_significant_lines(text))
-    t = int(header.split()[1])
     if t != g.lifetime:
         raise FormatError(
-            path, lineno, f"host lifetime {t} must equal the largest label {g.lifetime}"
+            path, head, f"host lifetime {t} must equal the largest label {g.lifetime}"
         )
     return g
 
@@ -97,7 +100,7 @@ def dump_graph(g: TemporalGraph) -> str:
 def parse_profile(
     text: str, n: Optional[int] = None, path: str = "<string>"
 ) -> StrategyProfile:
-    entries: dict[int, list[int]] = {}
+    entries: dict[int, tuple[int, list[int]]] = {}  # agent: (lineno, endpoints)
     max_node = -1
     for lineno, line in _significant_lines(text):
         if ":" not in line:
@@ -118,19 +121,17 @@ def parse_profile(
             if w in seen:
                 raise FormatError(path, lineno, f"duplicate endpoint {w}")
             seen.add(w)
-        entries[agent] = endpoints
-        max_node = max(max_node, agent, *endpoints) if endpoints else max(max_node, agent)
+        entries[agent] = lineno, endpoints
+        max_node = max(max_node, agent, *endpoints)
     if n is None:
         n = max_node + 1 if max_node >= 0 else 1
-    for lineno, line in _significant_lines(text):
-        agent = int(line.split(":", 1)[0])
+    for agent, (lineno, endpoints) in entries.items():
         if agent >= n:
             raise FormatError(path, lineno, f"agent {agent} out of range 0..{n - 1}")
-        for w in entries[agent]:
+        for w in endpoints:
             if w >= n:
                 raise FormatError(path, lineno, f"endpoint {w} out of range 0..{n - 1}")
-    strategies = [frozenset(entries.get(v, ())) for v in range(n)]
-    return StrategyProfile(n, strategies)
+    return StrategyProfile(n, {agent: endpoints for agent, (_, endpoints) in entries.items()})
 
 
 def dump_profile(p: StrategyProfile) -> str:

@@ -203,27 +203,18 @@ def minimum_spanner(
     retained edges, and inside a class that is not a matching comp[x] is
     x's component over the class's retained edges.  An include merges two
     components in place.  An include that adds nothing is not branched:
-    its endpoints already share a component, or in a matching a mask.  At a
-    class boundary every later edge is undecided, so what the rest of the
-    search can find depends only on (class, reached).  A memo keyed on that
-    pair, packed into one int, prunes an arrival with at least as many
-    retained edges as an earlier one.  It holds up to one entry per search
-    node, so its memory grows with budget_cap: `gen_random_host(10, 45, 0)`,
-    settled in 708,943 nodes, peaks near 45 MB.
+    its endpoints already share a component, or in a matching a mask.  The
+    search keeps nothing else: its memory is the copies of reached and comp
+    along the current path and the reach table, whatever budget_cap is.
 
-    Prunes.  At a boundary: a node whose mask is not full needs a later
-    edge at it, so ceil(deficient / 2) more edges are needed; by the
-    broadcast bound below, n - min_s |H_s| more edges are needed; every
-    source must still reach every node over the later classes, read from a
-    table of what reaches each node from each boundary on, with no sweep;
-    and the lower bound below must stay under the incumbent for the
-    retained and undecided edges.  The first two are checked before the
-    memo and cost no sweep; a state they prune is not stored, and a later
-    arrival at it with as many edges is pruned by them again, since the
-    incumbent only falls.  An exclude inside a class that is not a matching
-    checks the same bound and reach with the rest of the class kept, since
-    breaking one of its components is what raises the bound.  Matching
-    classes are checked at their end.
+    Prunes.  At a boundary: by the broadcast bound below, n - min_s |H_s|
+    more edges are needed; every source must still reach every node over
+    the later classes, read from a table of what reaches each node from
+    each boundary on, with no sweep; and the lower bound below must stay
+    under the incumbent for the retained and undecided edges.  An exclude
+    inside a class that is not a matching checks the same bound and reach
+    with the rest of the class kept, since breaking one of its components
+    is what raises the bound.  Matching classes are checked at their end.
 
     Lower bound.  max(n, 2n - 4 - D) for n >= 4, D taken over the
     retained and undecided edges.  n holds because no class spans, and a
@@ -289,7 +280,6 @@ def minimum_spanner(
     into.reverse()
     rest.reverse()
     singles = [1 << x for x in range(n)]
-    memo: dict[int, int] = {}
     nodes = [0]
 
     def rec(
@@ -312,19 +302,13 @@ def minimum_spanner(
                 best[0] = inc
                 best[1] = count
                 return
-            if c == k or count + (deficient + 1) // 2 >= best[1]:
+            if c == k:
                 return
             # the broadcast bound: a source missing from `need` masks needs
             # `need` more edges; only a deficient mask misses a source
             need = best[1] - count
             if deficient >= need and _misses(reached, need):
                 return
-            key = c
-            for r in reached:
-                key = key << n | r
-            if memo.get(key, count + 1) <= count:
-                return
-            memo[key] = count
             if not _reaches_all(into[c], reached, full):
                 return
             if max(n, 2 * n - 4 - d - rest[c]) >= best[1]:
@@ -365,8 +349,8 @@ def minimum_spanner(
         rec(0, 0, 0, 0, singles, None, 0)
     finally:
         sys.setrecursionlimit(limit)
-        # rec refers to itself, so without this the memo would wait for a
-        # full garbage collection
+        # rec refers to itself, so without this the reach table, large on
+        # big hosts, would wait for a full garbage collection
         del rec
     return masks.graph(best[0]), best[1]
 

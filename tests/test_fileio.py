@@ -99,6 +99,10 @@ def test_host_check_is_layered_on_graph_parse():
         with pytest.raises(FormatError) as err:
             parse_host(text, path="h.tg")
         assert str(err.value) == f"h.tg:1: host lifetime {t} must equal the largest label {largest}"
+    # the lifetime error names the header's line, past leading comments
+    with pytest.raises(FormatError) as err:
+        parse_host("# host\n\n1 2\n")
+    assert err.value.line == 3
 
 
 def test_profile_errors_carry_position():
@@ -131,6 +135,18 @@ def test_profile_n_context():
     # empty text is the empty profile on one node without context
     assert parse_profile("").n == 1
     assert parse_profile("", n=4).canonical() == StrategyProfile(4, [set()] * 4).canonical()
+
+
+def test_profile_range_error_names_its_line():
+    # the range check runs after the whole file is read, against n, and
+    # still names the offending line, past a comment, a valid line and a
+    # blank one
+    text = "# two agents\n0: 1\n\n1: 0 5\n"
+    with pytest.raises(FormatError) as err:
+        parse_profile(text, n=3, path="bad.tsp")
+    assert err.value.line == 4
+    assert str(err.value).startswith("bad.tsp:4:")
+    assert "endpoint 5 out of range 0..2" in str(err.value)
 
 
 def test_setcover_errors_carry_position():

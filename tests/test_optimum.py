@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -105,7 +106,7 @@ def test_spanners_match_brute_force_where_search_branches():
     # n=5 has 10 pairs, so t <= 10 on a host whose labels are exactly 1..t;
     # lifetimes 3-6 give label classes of 3 and 4 nodes; on distinct-label
     # hosts every class is one edge; n=6, t=12 hosts cross many class
-    # boundaries, where the search's reach memo prunes; on the two pinned
+    # boundaries, where the broadcast bound prunes; on the two pinned
     # hosts (optimum 7) a search that forgets a conference class's D term
     # when an exclude ends the class prunes every 7-edge spanner
     hosts = (
@@ -214,7 +215,9 @@ PINNED_TREES = [
     ((6, 4, 8), 8, 7),
     ((8, 24, 0), 345, 11),
     # many labels, mostly matchings: the broadcast bound's regime
-    ((9, 36, 3), 52423, 13),
+    ((9, 36, 3), 52889, 13),
+    # dense classes: four labels, conference classes of 4-12 edges
+    ((8, 4, 444090259), 2135, 10), ((9, 4, 3758031008), 7268, 10),
 ]
 
 
@@ -228,6 +231,20 @@ def test_minimum_spanner_search_tree_is_pinned(args, nodes, opt):
         minimum_spanner(host, budget_cap=nodes - 1)
     spanner, size = minimum_spanner(host, budget_cap=nodes)
     assert size == opt and is_temporal_spanner(host, spanner)
+
+
+def test_search_memory_does_not_grow_with_its_nodes():
+    # the search keeps only the state along its current path and the reach
+    # table, so its peak stays far below one entry per node (~9,000 here)
+    host = gen_random_host(8, 24, 2)
+    tracemalloc.start()
+    try:
+        _, size = minimum_spanner(host)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == 11
+    assert peak < 100 * 1024
 
 
 @st.composite
