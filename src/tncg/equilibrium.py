@@ -2,10 +2,12 @@
 
 check_ge / check_ne decide stability against single-edge moves and arbitrary
 strategy changes respectively, in one search whose agent views the audit
-reuses.  The remaining operations are detectors for structural facts about
-equilibria: necessary sets, the five-node forbidden configuration, the
-dense-graph large-node witness, edge-count bounds, and the relabeling that
-turns any greedy equilibrium into a Nash equilibrium.
+reuses; an agent whose arcs provably cannot be improved on is settled with
+no view and no search (`_settled`).  The remaining operations are detectors
+for structural facts about equilibria: necessary sets, the five-node
+forbidden configuration, the dense-graph large-node witness, edge-count
+bounds, and the relabeling that turns any greedy equilibrium into a Nash
+equilibrium.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .core import TemporalGraph, mask_to_set, norm_pair
+from .core import TemporalGraph, mask_to_set, norm_pair, set_to_mask
 from .errors import PreconditionViolated
 from .game import CostVector, DirectedTemporalGraph, StrategyProfile
 from .game import _agent_costs, _check_profile_n, _CreatedState, _labelled_arcs
-from .responses import DEFAULT_BUDGET, _AgentView
+from .responses import DEFAULT_BUDGET, _AgentView, _check_budget
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,9 @@ def check_ne(
     audit: bool = False,
 ) -> EquilibriumReport:
     """Stable iff no agent has any improving strategy (exact best responses);
-    budget_cap < 0 raises ValueError."""
+    budget_cap < 0 raises ValueError before any agent is looked at.  Settled
+    agents need no search, so a check whose unsettled agents fit in the
+    budget answers even where searching every agent would exceed it."""
     return _check(host, profile, "exact", budget_cap, audit)
 
 
@@ -121,13 +125,20 @@ def _check(
     host: TemporalGraph, profile: StrategyProfile, rule: str, budget_cap: int, audit: bool
 ) -> EquilibriumReport:
     """The witness is the first improving agent in ascending order, with its
-    best move under rule; all views share one created-graph state, and the
-    audit reuses the views the search built."""
+    best move under rule.  One reach sweep gives every agent's cost; an
+    agent that reaches everyone and is `_settled` cannot improve and gets
+    no view, every other agent gets a view (one more sweep) and a search.
+    All views share one created-graph state, and the audit reuses the views
+    the search built."""
+    _check_budget(budget_cap)
     state = _CreatedState(host, profile)
     costs = _agent_costs(state)
+    nbrs = [set_to_mask(state.strategies[x] | state.buyers[x]) for x in range(state.n)]
     views: dict[int, _AgentView] = {}
     witness = None
     for v in range(host.n):
+        if costs[v].unreached == 0 and _settled(state, nbrs, v):
+            continue
         view = views[v] = _AgentView(state, v)
         strategy, cost = view.best(rule, budget_cap)
         if cost < view.cur_cost:
@@ -140,6 +151,47 @@ def _check(
         agent_costs=tuple(costs),
         audit=_audit(host, profile, state, views) if audit else None,
     )
+
+
+def _settled(state: _CreatedState, nbrs: list[int], v: int) -> bool:
+    """Whether each arc v buys is the only way into its part of G - v.
+
+    G - v is the created graph's pairs not touching v, as a static graph;
+    nbrs[x] is x's neighbour mask in the created graph.  v is settled when
+    the part of each endpoint w in S_v holds no other endpoint of S_v and
+    no agent that buys an arc to v (w itself included); an agent with no
+    arcs is settled at once.
+
+    Why a settled agent that reaches everyone cannot improve, under either
+    rule: a temporal path from v starts with a v-incident edge, to an
+    endpoint or a buyer, and then stays inside that node's part of G - v.
+    G - v and the buyers do not depend on S_v, so every strategy that
+    reaches everyone buys an arc into each part that holds no buyer.  The
+    parts of v's |S_v| endpoints are such parts and pairwise distinct, so no
+    strategy reaches everyone with fewer arcs, and none beats reaching
+    everyone: the current strategy is optimal, and no add or drop improves.
+    """
+    ends, buyers = state.strategies[v], state.buyers[v]
+    if not buyers and len(ends) < 2:
+        return True                     # no part can hold a second way in
+    own, buyers = set_to_mask(ends), set_to_mask(buyers)
+    keep = ~(1 << v)
+    for w in ends:
+        part = frontier = 1 << w
+        if part & buyers:
+            return False
+        fence = (own | buyers) & ~part
+        while frontier:
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                grown |= nbrs[low.bit_length() - 1]
+            frontier = grown & keep & ~part
+            if frontier & fence:
+                return False
+            part |= frontier
+    return True
 
 
 def _owner_necessary_masks(view: _AgentView) -> dict[int, int]:

@@ -101,16 +101,21 @@ class StrategyProfile:
         return f"StrategyProfile(n={self.n}, arcs={self.arc_count})"
 
 
+def _is_node(x) -> bool:
+    """Node labels are ints; a bool would silently stand for node 0 or 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_agent(n: int, v: int) -> None:
-    if v not in range(n):
-        raise ValueError(f"agent {v} out of range")
+    if not (_is_node(v) and 0 <= v < n):
+        raise ValueError(f"agent {v!r} out of range")
 
 
 def _checked_strategy(n: int, v: int, s: Iterable[int]) -> frozenset[int]:
     fs = frozenset(s)
     for w in fs:
-        if not (0 <= w < n):
-            raise ValueError(f"agent {v}: endpoint {w} out of range")
+        if not (_is_node(w) and 0 <= w < n):
+            raise ValueError(f"agent {v}: endpoint {w!r} out of range")
     if v in fs:
         raise ValueError(f"agent {v} buys an arc to itself")
     return fs

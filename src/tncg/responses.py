@@ -19,16 +19,19 @@ A view reads a `game._CreatedState`: its one label-class list, kept across a
 whole dynamics run and shared as is by every view of one check, with labels
 from the host's label table, so no graph is built, no arc regrouped and no
 class list copied per view.  The
-view is the one place that evaluates an agent, and `best` the one place that
-maps a rule to its search: dynamics, `tncg br` and the equilibrium checks
-call it, and the structural audit reads necessary sets off its covers.
+view is the one place that searches for an agent's best strategy, and
+`best` the one place that maps a rule to its search: dynamics, `tncg br`
+and the equilibrium checks call it, and the structural audit reads
+necessary sets off its covers.  A check builds no view for an agent it can
+settle from the created graph alone (`equilibrium._settled`); dynamics
+activates every agent through a view.
 """
 
 from __future__ import annotations
 
 from .core import TemporalGraph, _reach_sweep
 from .errors import SearchSpaceExceeded
-from .game import CostVector, StrategyProfile, _CreatedState
+from .game import CostVector, StrategyProfile, _check_agent, _CreatedState
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -45,8 +48,7 @@ class _AgentView:
 
     def __init__(self, state: _CreatedState, v: int):
         n = state.n
-        if not (0 <= v < n):
-            raise ValueError(f"agent {v} out of range")
+        _check_agent(n, v)
         covers = _reach_sweep(n, state.classes, state.starts(v), skip=v)
         self.n = n
         self.v = v

@@ -19,6 +19,7 @@ from tncg import (
     gen_br_cycle,
     gen_random_host,
     gen_random_profile,
+    gen_t2_equilibrium,
     minimum_spanner,
     poa_ratio,
     replay,
@@ -281,3 +282,10 @@ def test_negative_budgets_are_rejected():
         poa_ratio(host, final_profile(run_dynamics(host, start)), budget_cap=-1)
     # a zero budget stays valid: it fails only once a search needs a step
     assert run_dynamics(host, start, budget_cap=0).outcome == OUTCOME_GE
+    # also where every agent is settled and no search would read the budget
+    tree = gen_random_host(6, 2, 3)
+    for h, profile in ((TemporalGraph(2, {(0, 1): 1}), StrategyProfile(2, [{1}, set()])),
+                       (tree, gen_t2_equilibrium(tree))):
+        assert check_ne(h, profile, budget_cap=0).stable
+        with pytest.raises(ValueError, match=r"^budget_cap must be >= 0, got -1$"):
+            check_ne(h, profile, budget_cap=-1)

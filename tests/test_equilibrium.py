@@ -19,6 +19,7 @@ from tncg import (
     check_ge,
     check_ne,
     empty_profile,
+    exact_best_response,
     final_profile,
     find_forbidden_structure,
     find_large_node,
@@ -27,16 +28,25 @@ from tncg import (
     gen_random_directed,
     gen_random_host,
     gen_random_profile,
+    gen_t2_equilibrium,
     gen_t2_family,
     necessary_set,
     run_dynamics,
     verify_large_node,
 )
+from tncg import equilibrium
 from tncg.core import reach_evaluations, reset_reach_evaluations
 from tncg.equilibrium import _ceil_sqrt_over, _dense_below_threshold, _find_forbidden
 from tncg.game import _CreatedState
+from tncg.responses import _AgentView
 
-from oracles import brute_created_graph, brute_forbidden, brute_reach
+from oracles import (
+    brute_agent_cost,
+    brute_best_response,
+    brute_created_graph,
+    brute_forbidden,
+    brute_reach,
+)
 
 
 def test_check_ne_and_ge_on_families():
@@ -119,7 +129,7 @@ def test_necessary_set_empty_for_antiparallel():
     assert necessary_set(host, p, 1, 0) == set()
     with pytest.raises(ValueError):
         necessary_set(host, p, 0, 2)
-    for u in (99, -1):
+    for u in (99, -1, True, 1.0):
         with pytest.raises(ValueError, match=rf"^agent {u} out of range$"):
             necessary_set(host, p, u, 0)
 
@@ -269,9 +279,26 @@ def test_audits_build_no_graph(monkeypatch):
     assert builds == [frozen]
 
 
-def test_audited_check_builds_each_view_once():
+def _record_views(monkeypatch) -> list[int]:
+    """The agents whose views the equilibrium module builds, in build order."""
+    built = []
+
+    class Recorded(_AgentView):
+        __slots__ = ()
+
+        def __init__(self, state, v):
+            built.append(v)
+            super().__init__(state, v)
+
+    monkeypatch.setattr(equilibrium, "_AgentView", Recorded)
+    return built
+
+
+def test_audited_check_builds_each_view_once(monkeypatch):
     """A stable audited check makes one sweep for the agent costs and one per
-    agent view; the audit reads its necessary sets off those same views."""
+    agent view it builds, and builds each view at most once: the audit reads
+    its necessary sets off the search's views and builds only the views of
+    owners the search settled without one."""
     host = gen_random_host(8, 4, 4242)
     ge = run_dynamics(host, empty_profile(8), rule="greedy")
     ne = run_dynamics(host, empty_profile(8), rule="exact")
@@ -279,12 +306,104 @@ def test_audited_check_builds_each_view_once():
     cases = [(check, *family) for family in (gen_t2_family(7), gen_hypercube(3))
              for check in (check_ge, check_ne)]
     cases += [(check_ge, host, final_profile(ge)), (check_ne, host, final_profile(ne))]
+    built = _record_views(monkeypatch)
     for check, h, profile in cases:
         assert profile.arc_count > 0
+        built.clear()
         reset_reach_evaluations()
         report = check(h, profile, audit=True)
         assert report.stable and report.audit.ok
-        assert reach_evaluations() == h.n + 1, (check.__name__, h.n)
+        assert len(set(built)) == len(built), (check.__name__, built)
+        assert reach_evaluations() == 1 + len(built), (check.__name__, h.n)
+
+
+def test_unaudited_check_on_t2_trees_makes_one_sweep():
+    """Every agent of a spanning-tree equilibrium is settled: the agent-cost
+    sweep is the only sweep, with no view and no search."""
+    for seed in range(12):
+        n = 2 + seed % 8
+        host = gen_random_host(n, 1 + seed % 2 if n > 2 else 1, seed)
+        profile = gen_t2_equilibrium(host)
+        for check in (check_ne, check_ge):
+            reset_reach_evaluations()
+            assert check(host, profile).stable
+            assert reach_evaluations() == 1, (seed, check.__name__)
+
+
+def _brute_witness(host, profile, rule):
+    """First agent, ascending, with a strictly better strategy, and its best
+    one: any strategy for "exact", a single toggle for "greedy"; ties go to
+    the lexicographically smallest endpoint set."""
+    for v in range(host.n):
+        if rule == "exact":
+            strategy, cost = brute_best_response(host, profile, v)
+        else:
+            cost, strategy = min(
+                (brute_agent_cost(host, cand, v), tuple(sorted(cand[v])))
+                for cand in (profile.with_strategy(v, profile[v] ^ {w})
+                             for w in range(host.n) if w != v)
+            )
+        if cost < brute_agent_cost(host, profile, v):
+            return v, tuple(sorted(strategy))
+    return None
+
+
+def _random_tree(host, rng):
+    """A random spanning tree, each edge bought by a random side."""
+    strategies = [set() for _ in range(host.n)]
+    for child in range(1, host.n):
+        a, b = child, rng.randrange(child)
+        if rng.random() < 0.5:
+            a, b = b, a
+        strategies[a].add(b)
+    return StrategyProfile(host.n, strategies)
+
+
+def _oracle_profiles():
+    """(regime, host, profile) for n = 2..6: trees (t2 equilibria and random
+    oriented spanning trees) and non-trees (random arc sets, with
+    antiparallel pairs and unreached agents, and converged dynamics)."""
+    rng = random.Random(2024)
+    for seed in range(150):
+        n = 2 + seed % 5
+        pairs = n * (n - 1) // 2
+        host = gen_random_host(n, rng.randint(1, min(4, pairs)), seed)
+        kind = seed % 4
+        if kind == 0:
+            t2 = gen_random_host(n, rng.randint(1, min(2, pairs)), seed)
+            yield "tree", t2, gen_t2_equilibrium(t2)
+            yield "tree", host, _random_tree(host, rng)
+        elif kind == 1:
+            arcs = [(u, w) for u in range(n) for w in range(n) if u != w]
+            strategies = [set() for _ in range(n)]
+            for u, w in rng.sample(arcs, rng.randint(0, len(arcs))):
+                strategies[u].add(w)
+            yield "non-tree", host, StrategyProfile(n, strategies)
+        else:
+            rule = "greedy" if kind == 2 else "exact"
+            start = gen_random_profile(host, rng.randint(0, pairs), seed)
+            trace = run_dynamics(host, start, rule=rule, max_steps=50)
+            yield "non-tree", host, final_profile(trace)
+
+
+def test_checks_match_brute_force_verdicts(monkeypatch):
+    """check_ne / check_ge verdicts and witnesses equal a brute-force scan,
+    in a regime where some agents are settled with no view and others are
+    searched: tree profiles and non-tree profiles alike."""
+    built = _record_views(monkeypatch)
+    settled = {"tree": 0, "non-tree": 0}
+    searched = {"tree": 0, "non-tree": 0}
+    for regime, host, profile in _oracle_profiles():
+        for check, rule in ((check_ne, "exact"), (check_ge, "greedy")):
+            built.clear()
+            report = check(host, profile)
+            expected = _brute_witness(host, profile, rule)
+            assert report.witness == expected, (rule, profile.canonical(), host.edges)
+            assert report.stable == (expected is None)
+            visited = host.n if expected is None else expected[0] + 1
+            settled[regime] += visited - len(built)
+            searched[regime] += len(built)
+    assert min(settled.values()) > 0 and min(searched.values()) > 0, (settled, searched)
 
 
 def test_dense_threshold_exact_arithmetic():
@@ -370,6 +489,19 @@ def test_check_ne_propagates_budget():
     p = gen_random_profile(host, 6, 5)
     with pytest.raises(SearchSpaceExceeded):
         check_ne(host, p, budget_cap=0)
+
+
+def test_settled_agents_spend_no_budget():
+    """Every agent of this exact equilibrium is settled, so a zero budget
+    decides it; searching agent 0's three arcs would exceed that budget."""
+    host = gen_random_host(6, 3, 0)
+    profile = final_profile(run_dynamics(host, empty_profile(6), rule="exact"))
+    assert profile.canonical() == ((1, 2, 4), (3,), (), (), (), (1,))
+    reset_reach_evaluations()
+    assert check_ne(host, profile, budget_cap=0).stable
+    assert reach_evaluations() == 1
+    with pytest.raises(SearchSpaceExceeded):
+        exact_best_response(host, profile, 0, budget_cap=0)
 
 
 def test_ge_strictly_weaker_than_ne():

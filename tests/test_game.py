@@ -59,7 +59,17 @@ def test_profile_validation():
     (lambda: empty_profile(3).with_strategy(9, [0]), 9),
     (lambda: StrategyProfile(3, {5: [0]}), 5),
     (lambda: StrategyProfile(3, {0: [1], -1: [2]}), -1),
-], ids=["with_strategy-below", "with_strategy-above", "mapping-above", "mapping-below"])
+    # a node is an int, never a bool, float or string; the message names the agent
+    (lambda: StrategyProfile(3, {True: [2]}), True),
+    (lambda: empty_profile(3).with_strategy(1.0, [2]), 1.0),
+    (lambda: StrategyProfile(3, {"1": [2]}), "'1'"),
+    (lambda: StrategyProfile(2, [{1.0}, set()]), "0: endpoint 1.0"),
+    (lambda: StrategyProfile(2, [set(), {True}]), "1: endpoint True"),
+    (lambda: StrategyProfile(3, [set(), set(), {"1"}]), "2: endpoint '1'"),
+    (lambda: empty_profile(3).with_strategy(0, [2.0]), "0: endpoint 2.0"),
+], ids=["with_strategy-below", "with_strategy-above", "mapping-above", "mapping-below",
+        "mapping-bool", "with_strategy-float", "mapping-str", "endpoint-float",
+        "endpoint-bool", "endpoint-str", "with_strategy-endpoint-float"])
 def test_profile_rejects_agent_out_of_range(make, agent):
     with pytest.raises(ValueError, match=rf"^agent {agent} out of range$"):
         make()
