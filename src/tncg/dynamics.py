@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Sequence
 
 from .core import TemporalGraph
-from .game import CostVector, StrategyProfile, _CreatedState
+from .game import CostVector, StrategyProfile, _CreatedState, _is_node
 from .responses import DEFAULT_BUDGET, _AgentView, _check_budget
 
 OUTCOME_GE = "converged-GE"
@@ -108,8 +108,8 @@ def run_dynamics(
         if not explicit:
             raise ValueError("schedule is empty")
         for v in explicit:
-            if not (0 <= v < n):
-                raise ValueError(f"scheduled agent {v} out of range")
+            if not (_is_node(v) and 0 <= v < n):
+                raise ValueError(f"scheduled agent {v!r} out of range")
         schedule_name = "explicit"
 
     state = _CreatedState(host, profile)

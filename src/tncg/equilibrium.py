@@ -19,7 +19,7 @@ from typing import Optional
 from .core import TemporalGraph, mask_to_set, norm_pair, set_to_mask
 from .errors import PreconditionViolated
 from .game import CostVector, DirectedTemporalGraph, StrategyProfile
-from .game import _agent_costs, _check_profile_n, _CreatedState, _labelled_arcs
+from .game import _agent_costs, _check_profile_n, _CreatedState, _is_node, _labelled_arcs
 from .responses import DEFAULT_BUDGET, _AgentView, _check_budget
 
 
@@ -129,9 +129,13 @@ def _check(
     agent that reaches everyone and is `_settled` cannot improve and gets
     no view, every other agent gets a view (one more sweep) and a search.
     All views share one created-graph state, and the audit reuses the views
-    the search built."""
+    the search built.  A host that is not complete raises ValueError naming
+    its first missing pair before any agent is looked at, settled or not."""
     _check_budget(budget_cap)
     state = _CreatedState(host, profile)
+    if not host.is_complete():
+        for v in range(host.n):
+            state.starts(v)             # raises on v's first missing pair
     costs = _agent_costs(state)
     nbrs = [set_to_mask(state.strategies[x] | state.buyers[x]) for x in range(state.n)]
     views: dict[int, _AgentView] = {}
@@ -213,6 +217,8 @@ def necessary_set(
     twin is absent; with the twin present the set is empty.
     """
     view = _AgentView(_CreatedState(host, profile), u)
+    if not (_is_node(w) and 0 <= w < host.n):
+        raise ValueError(f"agent {u}: endpoint {w!r} out of range")
     if w not in view.current:
         raise ValueError(f"arc ({u}, {w}) is not present in the profile")
     return mask_to_set(_owner_necessary_masks(view)[w])

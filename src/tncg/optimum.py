@@ -18,9 +18,11 @@ class _EdgeMasks:
 
     The edges are laid out once in the host's cached (label, pair) order and
     an edge subset is an int bitmask over that layout, so no TemporalGraph
-    is built until a spanner is returned.  `minimum_spanner` decides edges
-    in this layout, so a search node's undecided edges are the bits from
-    its next edge's up.
+    is built until a spanner is returned.  `connected` tests an edge subset
+    for `minimal_spanner`, `_minimal_keep` and `is_minimal_spanner`.
+    `minimum_spanner` merges `classes` itself for its tables and decides
+    edges in this layout, so a search node's undecided edges are the bits
+    from its next edge's up.
     """
 
     __slots__ = ("host", "full", "all", "bit", "classes")
@@ -50,20 +52,6 @@ class _EdgeMasks:
                 _merge(reached, es, matching, sub)
         # every mask lies within full, so the smallest equals it iff all do
         return min(reached) == self.full
-
-    def lower_bound(self, avail: int) -> int:
-        """A lower bound on the edges of any spanner within `avail`, given
-        that no label class of the host spans: max(n, 2n - 4 - D).
-
-        n holds since a spanning tree is single-label.  D sums `_excess`
-        over the label classes restricted to `avail`; the gossip argument of
-        `minimum_spanner` needs n >= 4, and below 5 the n term wins anyway.
-        The search carries D itself, so this serves its root.
-        """
-        n = self.host.n
-        scratch = [0] * n
-        d = sum(_excess(_merge(scratch, es, matching, avail)) for _, es, matching in self.classes)
-        return max(n, 2 * n - 4 - d)
 
     def graph(self, sub: int) -> TemporalGraph:
         """The subgraph of the edges in `sub`, in lexicographic pair order."""
@@ -192,6 +180,13 @@ def minimum_spanner(
     [root lower bound, incumbent] the optimum lies in and carries it as its
     `lower` and `upper`, and budget_cap < 0 raises ValueError.
 
+    Setup.  One descending pass of `_merge` over the classes, every edge
+    kept, gives later[c][y], the mask of the nodes y reaches over the
+    classes from c on, and rest[c], those classes' D term (lower bound
+    below).  A later[0][y] that misses a node raises NotTemporallyConnected.
+    The reach table into[c][z], the nodes y whose later[c][y] holds z, is
+    built only if the root bound does not settle the instance.
+
     Branch order.  Edges are decided in the kernel's layout, ascending label
     and then lexicographic pair, exclude first: the first spanners found
     keep late edges, which is where small ones lie when classes are large.
@@ -209,12 +204,12 @@ def minimum_spanner(
 
     Prunes.  At a boundary: by the broadcast bound below, n - min_s |H_s|
     more edges are needed; every source must still reach every node over
-    the later classes, read from a table of what reaches each node from
-    each boundary on, with no sweep; and the lower bound below must stay
-    under the incumbent for the retained and undecided edges.  An exclude
-    inside a class that is not a matching checks the same bound and reach
-    with the rest of the class kept, since breaking one of its components
-    is what raises the bound.  Matching classes are checked at their end.
+    the later classes, read from the reach table with no sweep; and the
+    lower bound below must stay under the incumbent for the retained and
+    undecided edges.  An exclude inside a class that is not a matching
+    checks the same bound and reach with the rest of the class kept, since
+    breaking one of its components is what raises the bound.  Matching
+    classes are checked at their end.
 
     Lower bound.  max(n, 2n - 4 - D) for n >= 4, D taken over the
     retained and undecided edges.  n holds because no class spans, and a
@@ -226,15 +221,14 @@ def minimum_spanner(
     2k - 4 for k >= 4.  The result is an all-to-all gossip, which takes at
     least 2n - 4 calls (Baker & Shostak 1972).  So |S| >= 2n - 4 minus the
     sum of h(k) = calls - (k - 1) over the components of S, and that sum is
-    at most D, whose components contain them.  When the incumbent meets
-    the bound at the root (`_EdgeMasks.lower_bound`) it is returned without
-    a search.  Below the root the search carries D: d is the term of the
-    decided classes' retained edges, updated as each class ends, and
-    rest[c] that of the classes from c on with every edge, built with the
-    reach table.  So the bound is max(n, 2n - 4 - d - rest[c]) at a
-    boundary; at an exclude inside a class that is not a matching, the
-    class's own term, read from the rest-of-class joins of the reach
-    check, is added to rest[c+1].
+    at most D, whose components contain them.  At the root the bound is
+    max(n, 2n - 4 - rest[0]); when the incumbent meets it, it is returned
+    without a search.  Below the root the search carries D: d is the term
+    of the decided classes' retained edges, updated as each class ends,
+    and rest[c] that of the later classes.  So the bound is
+    max(n, 2n - 4 - d - rest[c]) at a boundary; at an exclude inside a
+    class that is not a matching, the class's own term, read from the
+    rest-of-class joins of the reach check, is added to rest[c+1].
 
     Broadcast bound.  At a boundary let H_s be the nodes x with s in
     reached[x].  Every retained edge lies in an earlier class and every
@@ -249,9 +243,20 @@ def minimum_spanner(
     """
     _check_budget(budget_cap)
     masks = _EdgeMasks(host)
-    if not masks.connected(masks.all):
-        raise NotTemporallyConnected("graph is not temporally connected")
     n = host.n
+    full = masks.full
+    classes = masks.classes
+    k = len(classes)
+    back = [1 << x for x in range(n)]
+    later = [back[:]]
+    rest = [0]
+    for _, es, matching in reversed(classes):
+        rest.append(rest[-1] + _excess(_merge(back, es, matching, masks.all)))
+        later.append(back[:])
+    later.reverse()
+    rest.reverse()
+    if min(back) != full:
+        raise NotTemporallyConnected("graph is not temporally connected")
     if n <= 1:
         return TemporalGraph(n, {}), 0
     # a single-label spanning tree hits the n-1 lower bound exactly
@@ -262,23 +267,10 @@ def minimum_spanner(
 
     keep = _minimal_keep(masks)
     best = [keep, keep.bit_count()]
-    root = masks.lower_bound(masks.all)
+    root = max(n, 2 * n - 4 - rest[0])
     if best[1] == root:
         return masks.graph(keep), root
-    full = masks.full
-    every = masks.all
-    classes = masks.classes
-    k = len(classes)
-    # into[c][z]: the nodes that reach z over the classes from c on;
-    # rest[c]: the D term of those classes with every edge
-    back = [1 << x for x in range(n)]
-    into = [[(z,) for z in range(n)]]
-    rest = [0]
-    for _, es, matching in reversed(classes):
-        rest.append(rest[-1] + _excess(_merge(back, es, matching, every)))
-        into.append([tuple(y for y in range(n) if back[y] >> z & 1) for z in range(n)])
-    into.reverse()
-    rest.reverse()
+    into = [[tuple(y for y in range(n) if reach[y] >> z & 1) for z in range(n)] for reach in later]
     singles = [1 << x for x in range(n)]
     nodes = [0]
 

@@ -148,6 +148,10 @@ def test_explicit_schedule_range_check():
     profile = StrategyProfile(4, [set() for _ in range(4)])
     with pytest.raises(ValueError):
         run_dynamics(host, profile, schedule=[0, 7])
+    # every entry is checked before the first activation
+    for schedule, bad in ((["a"], "'a'"), ([True], "True"), ([0, 1, 2.0], r"2\.0")):
+        with pytest.raises(ValueError, match=rf"^scheduled agent {bad} out of range$"):
+            run_dynamics(host, profile, schedule=schedule)
 
 
 def test_unknown_rule_and_schedule():
@@ -264,6 +268,12 @@ def test_incomplete_host_is_rejected_by_name():
         run_dynamics(host, StrategyProfile(3, [set()] * 3))
     with pytest.raises(ValueError, match=message):
         check_ge(host, StrategyProfile(3, [set()] * 3))
+    # every agent of this spanning profile is settled, so no view would
+    # read the host's missing pair
+    host = TemporalGraph(3, {(0, 1): 1, (1, 2): 1})
+    for check in (check_ne, check_ge):
+        with pytest.raises(ValueError, match=message):
+            check(host, StrategyProfile(3, [{1}, {2}, set()]))
 
 
 def test_negative_budgets_are_rejected():

@@ -129,6 +129,10 @@ def test_necessary_set_empty_for_antiparallel():
     assert necessary_set(host, p, 1, 0) == set()
     with pytest.raises(ValueError):
         necessary_set(host, p, 0, 2)
+    # True and 1.0 compare equal to endpoint 1, whose arc is present
+    for w in (True, 1.0):
+        with pytest.raises(ValueError, match=rf"^agent 0: endpoint {w} out of range$"):
+            necessary_set(host, p, 0, w)
     for u in (99, -1, True, 1.0):
         with pytest.raises(ValueError, match=rf"^agent {u} out of range$"):
             necessary_set(host, p, u, 0)

@@ -40,13 +40,14 @@ def test_minimal_spanner_properties():
 
 
 def test_minimal_spanner_rejects_disconnected():
-    # two label-1 cliques with no bridging edge
-    edges = {(0, 1): 1, (2, 3): 1}
-    g = TemporalGraph(4, edges)
-    with pytest.raises(NotTemporallyConnected):
-        minimal_spanner(g)
-    with pytest.raises(NotTemporallyConnected):
-        minimum_spanner(g)
+    # two label-1 cliques with no bridging edge; then a static path whose
+    # labels fall from 0 to 2, so 0 never reaches 2
+    for g in (TemporalGraph(4, {(0, 1): 1, (2, 3): 1}),
+              TemporalGraph(3, {(0, 1): 2, (1, 2): 1})):
+        with pytest.raises(NotTemporallyConnected):
+            minimal_spanner(g)
+        with pytest.raises(NotTemporallyConnected):
+            minimum_spanner(g)
 
 
 def test_minimum_spanner_matches_brute_force():
@@ -87,6 +88,21 @@ def branching_hosts(rng, n, t_range, count, distinct=False):
         if _mono_spanning_tree(host) is None and is_temporally_connected(host):
             out.append(host)
     return out
+
+
+def root_bound(g):
+    """(the exact search's root lower bound on g, whether it settles g):
+    on a root stop the bound is the size returned, else the lower end of
+    the bracket that a zero budget raises."""
+    try:
+        return minimum_spanner(g, budget_cap=0)[1], True
+    except SearchSpaceExceeded as e:
+        return e.lower, False
+
+
+def gossip_bound(n, sizes):
+    """max(n, 2n - 4 - D), D summed over class components of these sizes."""
+    return max(n, 2 * n - 4 - sum(1 if k == 3 else k - 3 for k in sizes if k >= 3))
 
 
 def class_component_sizes(masks, mask):
@@ -133,9 +149,11 @@ def test_spanners_match_brute_force_where_search_branches():
 
 
 def test_lower_bound_never_exceeds_the_optimum():
-    # the bound of any connected edge subset is at most the minimum spanner
-    # of that subset, checked on the full edge set and on random connected
-    # subsets of hosts where the search branches
+    # the search's root bound on any connected edge subset is
+    # max(n, 2n - 4 - D) and at most the minimum spanner of that subset,
+    # checked on the full edge set and on random connected subsets of hosts
+    # where the search branches, both where it settles the root and where
+    # it searches
     rng = random.Random(609)
     # optimum 7, below 2n - 4 = 8: label 1 forms two 3-node components, and
     # without h(3) = 1 each the bound would exceed the optimum
@@ -151,6 +169,7 @@ def test_lower_bound_never_exceeds_the_optimum():
         + branching_hosts(rng, 6, None, 2, distinct=True)
     )
     sizes = set()
+    stops = []
     for host in hosts:
         masks = _EdgeMasks(host)
         distinct = len(set(host.edges.values())) == host.edge_count
@@ -162,13 +181,18 @@ def test_lower_bound_never_exceeds_the_optimum():
                     sub &= ~masks.bit[p]
             subs.append(sub)
         for sub in subs:
-            bound = masks.lower_bound(sub)
-            assert bound <= brute_minimum_spanner(masks.graph(sub))
+            g = masks.graph(sub)
+            bound, stop = root_bound(g)
+            assert bound <= brute_minimum_spanner(g)
+            stops.append(stop)
+            comps = class_component_sizes(masks, sub)
+            assert bound == gossip_bound(host.n, comps)
             # every class is a matching, so D = 0 and the gossip bound is exact
             if distinct:
                 assert bound == 2 * host.n - 4
-            sizes.update(class_component_sizes(masks, sub))
+            sizes.update(comps)
     assert {3, 4} <= sizes
+    assert any(stops) and not all(stops)
 
 
 def test_broadcast_bound_never_exceeds_the_fewest_completing_edges():
@@ -277,22 +301,21 @@ def test_edge_mask_kernel_matches_rebuilt_graph(case):
 
 
 def test_class_merge_serves_connected_and_lower_bound():
-    # few labels make large conference classes, which both merge by their
-    # components; connected and lower_bound calls interleave on one kernel
-    # per host, so neither may leave state that the other reads
+    # few labels make large conference classes, which `_merge` joins by
+    # their components both for `connected` and for the exact search's
+    # setup pass, whose D term gives the root bound of a connected subset
     rng = random.Random(610)
     sizes = set()
     for host in branching_hosts(rng, 6, (3, 6), 4) + branching_hosts(rng, 7, (3, 6), 2):
         masks = _EdgeMasks(host)
-        n = host.n
-        for i in range(48):
+        for _ in range(48):
             sub = sum(masks.bit[p] for p in host.edges if rng.random() < 0.75)
-            order = ("connected", "lower_bound") if i % 2 else ("lower_bound", "connected")
-            got = {name: getattr(masks, name)(sub) for name in order}
-            assert got["connected"] == brute_connected(masks.graph(sub))
+            g = masks.graph(sub)
+            connected = masks.connected(sub)
+            assert connected == brute_connected(g)
             comps = class_component_sizes(masks, sub)
-            d = sum(1 if k == 3 else k - 3 for k in comps if k >= 3)
-            assert got["lower_bound"] == max(n, 2 * n - 4 - d)
+            if connected:
+                assert root_bound(g)[0] == gossip_bound(host.n, comps)
             sizes.update(comps)
     assert max(sizes) >= 4
 
