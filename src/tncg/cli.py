@@ -24,7 +24,7 @@ from .constructions import (
 from .dynamics import run_dynamics
 from .equilibrium import check_ge, check_ne
 from .errors import TncgError
-from .experiments import SCENARIO_DEFAULTS, run_experiment
+from .experiments import SCENARIO_DEFAULTS, run_experiment, write_json
 from .fileio import (
     load_host,
     load_profile,
@@ -164,7 +164,7 @@ def _cmd_dynamics(args) -> int:
         budget_cap=args.budget,
     )
     if args.output:
-        Path(args.output).write_text(json.dumps(trace.as_dict(), indent=2) + "\n")
+        write_json(args.output, trace.as_dict(), sort_keys=False)
     _emit(
         args.format,
         {

@@ -18,13 +18,13 @@ import csv
 import hashlib
 import json
 import math
+import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from pathlib import Path
-from typing import Callable, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from . import __version__
 from .constructions import (
@@ -55,21 +55,46 @@ from .optimum import minimum_spanner, poa_ratio
 from .responses import exact_best_response
 
 
-def _pmap(fn: Callable, args_list: list, threads: int) -> tuple[list[dict], list[dict]]:
-    """Rows and falsifications of fn over args_list, in order.
+def _pmap(fn: Callable, args: Iterable[tuple], total: int, threads: int) -> tuple[list[dict], list[dict]]:
+    """Rows and falsifications of fn over the `total` instances of args, in
+    order, collected as each result arrives.
 
     fn returns (row, messages); each message becomes a falsification carrying
-    its row's index.
+    its row's index.  The process pool, and multiprocessing with it, is
+    imported only when threads > 1.
     """
-    if threads > 1 and len(args_list) > 1:
+    rows, fals = [], []
+
+    def collect(results):
+        for row, msgs in results:
+            rows.append(row)
+            fals.extend({"index": row["index"], "message": m} for m in msgs)
+
+    if threads > 1 and total > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as ex:
-            chunk = -(-len(args_list) // (4 * threads))
-            results = list(ex.map(fn, args_list, chunksize=chunk))
+            collect(ex.map(fn, args, chunksize=-(-total // (4 * threads))))
     else:
-        results = [fn(a) for a in args_list]
-    rows = [row for row, _ in results]
-    fals = [{"index": row["index"], "message": m} for row, msgs in results for m in msgs]
+        collect(map(fn, args))
     return rows, fals
+
+
+def write_json(path: Union[str, Path], obj, sort_keys: bool = True) -> None:
+    """Write json.dumps(obj, indent=2, sort_keys=sort_keys) + "\\n" to path
+    without holding the text: the encoder streams into a sibling temporary
+    file, which then replaces path.  A write that fails removes the
+    temporary file and leaves any older file at path unchanged."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(obj, fh, indent=2, sort_keys=sort_keys)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _frac_fields(prefix: str, value: Fraction) -> dict:
@@ -514,15 +539,16 @@ _SCENARIOS: dict[str, _Scenario] = {
 SCENARIO_DEFAULTS: dict[str, dict] = {name: s.defaults for name, s in _SCENARIOS.items()}
 
 
-def _instance_args(spec: _Scenario, cfg: dict) -> list[tuple]:
+def _instance_args(spec: _Scenario, cfg: dict) -> Iterator[tuple]:
     """(idx, inst_seed, cfg) of every instance in row order: the fixed
     instances with no seed, then the seeded ones, each taking the next draw
     of one generator seeded by cfg["seed"]."""
     fixed, seeded = spec.counts(cfg)
+    for i in range(fixed):
+        yield i, None, cfg
     base = random.Random(cfg["seed"])
-    return [(i, None, cfg) for i in range(fixed)] + [
-        (fixed + j, base.randrange(2**32), cfg) for j in range(seeded)
-    ]
+    for j in range(seeded):
+        yield fixed + j, base.randrange(2**32), cfg
 
 
 def _is_count(value) -> bool:
@@ -592,7 +618,7 @@ def run_experiment(
             raise ValueError(f"unknown config key {key!r} for scenario {scenario}")
         cfg[key] = value
     _check_config(scenario, cfg)
-    rows, fals = _pmap(spec.fn, _instance_args(spec, cfg), threads)
+    rows, fals = _pmap(spec.fn, _instance_args(spec, cfg), sum(spec.counts(cfg)), threads)
     full_config = {"scenario": scenario, **cfg}
     report = {
         "scenario": scenario,
@@ -612,7 +638,7 @@ def run_experiment(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     json_path = out / f"{scenario}.report.json"
-    json_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_json(json_path, report)
     csv_path = out / f"{scenario}.instances.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
