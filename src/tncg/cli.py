@@ -23,7 +23,7 @@ from .constructions import (
 )
 from .dynamics import run_dynamics
 from .equilibrium import check_ge, check_ne
-from .errors import TncgError
+from .errors import SearchSpaceExceeded, TncgError
 from .experiments import SCENARIO_DEFAULTS, run_experiment, write_json
 from .fileio import (
     load_host,
@@ -211,16 +211,27 @@ def _cmd_poa(args) -> int:
     if not report.stable:
         _emit(args.format, {"stable": False, "mode": args.mode, "witness": list(report.witness)})
         return 1
-    ratio = poa_ratio(host, profile, budget_cap=args.budget)
     edges = profile.arc_count
+    try:
+        ratio = poa_ratio(host, profile, budget_cap=args.budget)
+    except SearchSpaceExceeded as e:
+        # past the budget the optimum, and so the ratio, is only bracketed
+        status, lower, upper, optimum, poa = "bounded", e.lower, e.upper, None, None
+    else:
+        optimum = edges * ratio.denominator // ratio.numerator
+        status, lower, upper = "exact", optimum, optimum
+        poa = {"num": ratio.numerator, "den": ratio.denominator}
     _emit(
         args.format,
         {
             "stable": True,
             "mode": args.mode,
             "edges": edges,
-            "optimum": edges * ratio.denominator // ratio.numerator,
-            "poa": {"num": ratio.numerator, "den": ratio.denominator},
+            "poa_status": status,
+            "opt_lower": lower,
+            "opt_upper": upper,
+            "optimum": optimum,
+            "poa": poa,
         },
     )
     return 0

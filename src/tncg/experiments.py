@@ -1,7 +1,7 @@
 """Experiment scenarios: structural audits and price-of-anarchy sweeps.
 
 Every scenario is deterministic in (config, seed): per-instance seeds are
-pre-drawn in the parent process, so the thread count never changes results.
+drawn in the parent process, so the thread count never changes results.
 Reports carry no timestamps; identical runs produce identical bytes.
 
 Each scenario emits one row per instance plus a falsification list; any
@@ -263,8 +263,10 @@ def _ge_sweep_instance(args):
         **dict.fromkeys([
             "edges", "ge_verified", "antiparallel_free", "necessary_ok", "forbidden_none",
             "arc_bound", "arc_bound_applies", "arc_bound_ok", "dense_ok",
-            "opt_size", "poa_num", "poa_den", "poa_within_bound",
         ]),
+        # "exact" or "bounded" once a converged equilibrium is priced
+        "poa_status": "n/a",
+        **dict.fromkeys(["opt_size", "opt_lower", "opt_upper", "poa_num", "poa_den", "poa_within_bound"]),
     }
     msgs = []
     if trace.outcome == OUTCOME_GE:
@@ -298,15 +300,18 @@ def _ge_sweep_instance(args):
             msgs.append(f"edge count {profile.arc_count} reaches the dense threshold")
         try:
             _, opt = minimum_spanner(host, budget_cap=cfg["poa_budget"])
+        except SearchSpaceExceeded as e:
+            # the optimum, and so the PoA, is only bracketed
+            row.update(poa_status="bounded", opt_lower=e.lower, opt_upper=e.upper)
+        else:
             ratio = Fraction(profile.arc_count, opt)
-            row.update(opt_size=opt, **_frac_fields("poa", ratio))
+            row.update(poa_status="exact", opt_size=opt, opt_lower=opt, opt_upper=opt,
+                       **_frac_fields("poa", ratio))
             if host.lifetime > 1:
                 cap = Fraction(host.lifetime * (n - 2), n - 1)
                 row["poa_within_bound"] = ratio <= cap
                 if ratio > cap:
                     msgs.append(f"ratio {ratio} exceeds t(n-2)/(n-1) = {cap}")
-        except SearchSpaceExceeded:
-            pass
     return row, msgs
 
 
@@ -462,10 +467,11 @@ def _large_node_rules(cfg: dict) -> list[tuple[str, bool, str]]:
 def _ge_sweep_summary(rows: list[dict]) -> dict:
     outcomes = [r["outcome"] for r in rows]
     ge, cycles = outcomes.count(OUTCOME_GE), outcomes.count(OUTCOME_CYCLE)
-    # a converged row without an optimum is one whose search hit poa_budget
-    unpriced = sum(1 for r in rows if r["outcome"] == OUTCOME_GE and r["opt_size"] is None)
+    statuses = [r["poa_status"] for r in rows]
+    # a bounded row is a converged one whose search hit poa_budget
     return {"converged_ge": ge, "cycles": cycles, "other": len(rows) - ge - cycles,
-            "poa_budget_exceeded": unpriced}
+            "poa_budget_exceeded": statuses.count("bounded"),
+            "poa_status": {s: statuses.count(s) for s in ("exact", "bounded", "n/a")}}
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -183,7 +184,7 @@ def test_poa_stable_and_unstable(tmp_path, capsys):
         assert code == 0
         payload = json.loads(out)
         assert payload["poa"] == {"num": 12, "den": 7}
-        assert payload["optimum"] == 7
+        assert payload["optimum"] == 7 and payload["poa_status"] == "exact"
     # empty profile is wildly unstable
     empty = tmp_path / "empty.tsp"
     empty.write_text("")
@@ -208,8 +209,15 @@ def test_budgeted_spanner_search_names_its_bracket(tmp_path, capsys):
     tncg.save_profile(tncg.final_profile(trace), prof)
     code, out, err = run(capsys, "poa", "--host", str(host), "--profile", str(prof),
                          "--mode", "ge", "--budget", "0")
-    assert code == 2 and out == ""
-    assert one_error_line(err).endswith("optimum in [4, 5]")
+    assert code == 0 and err == ""
+    got = json.loads(out)
+    assert (got["poa_status"], got["opt_lower"], got["opt_upper"]) == ("bounded", 4, 5)
+    assert got["optimum"] is None and got["poa"] is None
+    code, out, _ = run(capsys, "poa", "--host", str(host), "--profile", str(prof), "--mode", "ge")
+    got = json.loads(out)
+    assert code == 0 and (got["poa_status"], got["opt_lower"], got["optimum"], got["opt_upper"]) == (
+        "exact", 5, 5, 5)
+    assert Fraction(got["poa"]["num"], got["poa"]["den"]) == Fraction(got["edges"], 5)
 
 
 def test_deep_spanner_search_is_exit_2(tmp_path, capsys):
@@ -435,6 +443,21 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["n"] == 4 and host.exists()
+
+
+def test_failed_trace_write_leaves_nothing_behind(tmp_path, capsys, monkeypatch):
+    host = tmp_path / "h.tg"
+    run(capsys, "gen", "random", "--n", "5", "--t", "3", "-o", str(host))
+    old = tmp_path / "old.json"
+    assert run(capsys, "dynamics", "--host", str(host), "-o", str(old))[0] == 0
+    before = old.read_bytes()
+    # a trace the encoder cannot encode fails the write midway
+    monkeypatch.setattr(tncg.DynamicsTrace, "as_dict", lambda self: {"moves": [object()]})
+    for out in (old, tmp_path / "new.json"):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            main(["dynamics", "--host", str(host), "-o", str(out)])
+    assert old.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["h.tg", "old.json"]
 
 
 def test_cli_outputs_match_golden_digest(tmp_path, capsys, monkeypatch):

@@ -1,13 +1,18 @@
 import csv
+import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 import tncg.experiments as experiments
-from tncg import SCENARIO_DEFAULTS, run_experiment
+from tncg import SCENARIO_DEFAULTS, minimum_spanner, run_experiment
 
 SCHEMA = json.loads(
     (Path(experiments.__file__).parent / "schemas" / "report_schema.json").read_text()
@@ -80,8 +85,8 @@ GOLDEN_SHA256 = {
         "60413bf230be186ea87d2dcbb91a8f20e8e01acc5e932b521bd1d4ef31f14902",
     ),
     "random-ge-sweep": (
-        "436d48c5c588fa6b457e38995e03d69c46f3be1c020657ad5938d0fa0dedf21f",
-        "73500353a55c4d7246f7ab220802c014b0530a94442a1a620700bb5860e91c19",
+        "a7046a2874965192eeeb62162e5e2e14f48175df76c8b21ea3fc1cc1d5db77c0",
+        "460ea58e1789d194a6fd035f50df9b8029bfd77c6f94840efea1cb242b294a96",
     ),
     "freeze-relabel-audit": (
         "02b7e73bd7bf60a77c5c60b5d74c413f33d9663096dafb037223119eaad0c50f",
@@ -104,6 +109,31 @@ def test_seed0_default_reports_match_golden_digests(tmp_path):
         result = run_experiment({"scenario": scenario, "seed": 0}, out_dir=tmp_path)
         assert hashlib.sha256(result.json_path.read_bytes()).hexdigest() == report_sha, scenario
         assert hashlib.sha256(result.csv_path.read_bytes()).hexdigest() == csv_sha, scenario
+
+
+def test_ge_sweep_brackets_every_converged_row(tmp_path):
+    # no label class spans most of these hosts, so a zero budget leaves
+    # their optima bracketed; seed 0 gives rows of all three statuses
+    config = {"scenario": "random-ge-sweep", "seed": 0, "instances": 8, "n_min": 6, "n_max": 6,
+              "t_min": 6, "t_max": 12, "poa_budget": 0}
+    result = run_experiment(config, out_dir=tmp_path)
+    jsonschema.validate(result.report, SCHEMA)
+    rows = result.report["instances"]
+    for row in rows:
+        assert (row["poa_status"] == "n/a") == (row["outcome"] != "converged-GE")
+        if row["poa_status"] == "exact":
+            assert row["opt_lower"] == row["opt_size"] == row["opt_upper"]
+            assert Fraction(row["poa_num"], row["poa_den"]) == Fraction(row["edges"], row["opt_size"])
+        else:
+            assert row["opt_size"] is row["poa_num"] is row["poa_den"] is None
+        if row["poa_status"] == "bounded":
+            host, _ = experiments._greedy_run(row["seed"], {**SCENARIO_DEFAULTS["random-ge-sweep"], **config})
+            assert row["opt_lower"] <= minimum_spanner(host)[1] <= row["opt_upper"]
+    statuses = [row["poa_status"] for row in rows]
+    summary = result.report["summary"]
+    assert summary["poa_status"] == {s: statuses.count(s) for s in ("exact", "bounded", "n/a")}
+    assert summary["poa_budget_exceeded"] == statuses.count("bounded")
+    assert set(statuses) == {"exact", "bounded", "n/a"}
 
 
 def test_config_limits_name_their_reason(tmp_path):
@@ -137,3 +167,28 @@ def test_defaults_cover_every_scenario():
     assert set(TINY) == set(SCENARIO_DEFAULTS)
     for scenario, defaults in SCENARIO_DEFAULTS.items():
         assert set(TINY[scenario]) <= set(defaults), scenario
+
+
+def test_failed_report_write_leaves_nothing_behind(tmp_path, monkeypatch):
+    # a summary the encoder cannot encode fails the report write midway
+    old = run_experiment({"scenario": "br-cycle"}, out_dir=tmp_path / "old")
+    before = {p.name: p.read_bytes() for p in (tmp_path / "old").iterdir()}
+    spec = experiments._SCENARIOS["br-cycle"]
+    monkeypatch.setitem(experiments._SCENARIOS, "br-cycle",
+                        dataclasses.replace(spec, summary=lambda rows: {"bad": object()}))
+    for out in (tmp_path / "old", tmp_path / "new"):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            run_experiment({"scenario": "br-cycle"}, out_dir=out)
+    assert {p.name: p.read_bytes() for p in (tmp_path / "old").iterdir()} == before
+    assert old.json_path.name in before
+    assert not list((tmp_path / "new").iterdir())
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # only a run with threads > 1 imports the process pool
+    src = Path(experiments.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, tncg; print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -4,7 +4,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tncg import (
@@ -355,6 +355,48 @@ def test_deep_search_gives_up_on_its_bracket():
     # the bracket is data as well: the root bound and the incumbent
     assert (info.value.lower, info.value.upper) == (49, 102)
     assert str(info.value) == "spanner search exceeded budget of 5000 nodes; optimum in [49, 102]"
+
+
+def search_nodes(host):
+    """The node count of host's unbudgeted search: the least budget it
+    completes in, found by doubling and then bisection."""
+
+    def completes(budget):
+        try:
+            minimum_spanner(host, budget_cap=budget)
+        except SearchSpaceExceeded:
+            return False
+        return True
+
+    hi = 1
+    while not completes(hi):
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if completes(mid) else (mid, hi)
+    return hi
+
+
+@settings(derandomize=True, max_examples=12, deadline=None, database=None)
+@given(st.data())
+def test_budgeted_search_brackets_the_optimum(data):
+    # on hosts where the search branches, every budget short of its node
+    # count gives up on a bracket that holds the optimum, and the node count
+    # itself finds it; a few budgets per host share one brute-force optimum
+    n = data.draw(st.integers(4, 6), label="n")
+    t = data.draw(st.integers(n - 1, n * (n - 1) // 2), label="t")
+    host = gen_random_host(n, t, data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    assume(not root_bound(host)[1])
+    nodes = search_nodes(host)
+    opt = brute_minimum_spanner(host)
+    for budget in data.draw(st.lists(st.integers(0, nodes), min_size=1, max_size=4), label="budgets"):
+        if budget < nodes:
+            with pytest.raises(SearchSpaceExceeded) as info:
+                minimum_spanner(host, budget_cap=budget)
+            assert info.value.lower <= opt <= info.value.upper
+        else:
+            assert minimum_spanner(host, budget_cap=budget)[1] == opt
 
 
 def test_minimality_predicate_matches_brute_force():
