@@ -1,180 +1,125 @@
-"""Temporal reachability network creation: library and experiment harness."""
+"""Temporal reachability network creation: library and experiment harness.
+
+Every public name is importable from `tncg`; the submodule that defines it
+is imported on its first lookup (PEP 562), so `import tncg` loads none.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .core import (
-    TemporalGraph,
-    compress_labels,
-    is_temporal_path,
-    is_temporal_spanner,
-    is_temporally_connected,
-    mask_to_set,
-    reach,
-    set_to_mask,
-)
-from .errors import (
-    FormatError,
-    NotASpanner,
-    NotTemporallyConnected,
-    PreconditionViolated,
-    SearchSpaceExceeded,
-    TncgError,
-)
-from .game import (
-    CostVector,
-    DirectedTemporalGraph,
-    StrategyProfile,
-    agent_cost,
-    created_graph,
-    empty_profile,
-    social_cost,
-)
-from .responses import DEFAULT_BUDGET, exact_best_response, greedy_best_response
-from .equilibrium import (
-    BoundsReport,
-    EquilibriumReport,
-    ForbiddenStructure,
-    LargeNodeWitness,
-    ProfileAudit,
-    audit_edge_bounds,
-    audit_profile,
-    check_ge,
-    check_ne,
-    find_forbidden_structure,
-    find_large_node,
-    freeze_relabel,
-    necessary_set,
-    verify_large_node,
-)
-from .dynamics import (
-    OUTCOME_CAP,
-    OUTCOME_CYCLE,
-    OUTCOME_GE,
-    OUTCOME_NE,
-    DynamicsTrace,
-    Move,
-    final_profile,
-    replay,
-    run_dynamics,
-    trace_from_dict,
-)
-from .constructions import (
-    ReductionLayout,
-    SetCoverInstance,
-    gen_br_cycle,
-    gen_hypercube,
-    gen_random_directed,
-    gen_random_host,
-    gen_random_profile,
-    gen_random_setcover,
-    gen_reduction_br,
-    gen_reduction_ne,
-    gen_t2_equilibrium,
-    gen_t2_family,
-)
-from .optimum import is_minimal_spanner, minimal_spanner, minimum_spanner, poa_ratio
-from .fileio import (
-    dump_graph,
-    dump_profile,
-    dump_setcover,
-    load_graph,
-    load_host,
-    load_profile,
-    load_setcover,
-    parse_graph,
-    parse_host,
-    parse_profile,
-    parse_setcover,
-    save_graph,
-    save_profile,
-    save_setcover,
-    validate_files,
-)
-from .experiments import SCENARIO_DEFAULTS, ExperimentResult, config_digest, run_experiment
+# public name -> the submodule that defines it
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "core": (
+            "TemporalGraph",
+            "compress_labels",
+            "is_temporal_path",
+            "is_temporal_spanner",
+            "is_temporally_connected",
+            "mask_to_set",
+            "reach",
+            "set_to_mask",
+        ),
+        "errors": (
+            "FormatError",
+            "NotASpanner",
+            "NotTemporallyConnected",
+            "PreconditionViolated",
+            "SearchSpaceExceeded",
+            "TncgError",
+        ),
+        "game": (
+            "CostVector",
+            "DirectedTemporalGraph",
+            "StrategyProfile",
+            "agent_cost",
+            "created_graph",
+            "empty_profile",
+            "social_cost",
+        ),
+        "responses": ("DEFAULT_BUDGET", "exact_best_response", "greedy_best_response"),
+        "equilibrium": (
+            "BoundsReport",
+            "EquilibriumReport",
+            "ForbiddenStructure",
+            "LargeNodeWitness",
+            "ProfileAudit",
+            "audit_edge_bounds",
+            "audit_profile",
+            "check_ge",
+            "check_ne",
+            "find_forbidden_structure",
+            "find_large_node",
+            "freeze_relabel",
+            "necessary_set",
+            "verify_large_node",
+        ),
+        "dynamics": (
+            "OUTCOME_CAP",
+            "OUTCOME_CYCLE",
+            "OUTCOME_GE",
+            "OUTCOME_NE",
+            "DynamicsTrace",
+            "Move",
+            "final_profile",
+            "replay",
+            "run_dynamics",
+            "trace_from_dict",
+        ),
+        "constructions": (
+            "ReductionLayout",
+            "SetCoverInstance",
+            "gen_br_cycle",
+            "gen_hypercube",
+            "gen_random_directed",
+            "gen_random_host",
+            "gen_random_profile",
+            "gen_random_setcover",
+            "gen_reduction_br",
+            "gen_reduction_ne",
+            "gen_t2_equilibrium",
+            "gen_t2_family",
+        ),
+        "optimum": ("is_minimal_spanner", "minimal_spanner", "minimum_spanner", "poa_ratio"),
+        "fileio": (
+            "dump_graph",
+            "dump_profile",
+            "dump_setcover",
+            "load_graph",
+            "load_host",
+            "load_profile",
+            "load_setcover",
+            "parse_graph",
+            "parse_host",
+            "parse_profile",
+            "parse_setcover",
+            "save_graph",
+            "save_profile",
+            "save_setcover",
+            "validate_files",
+        ),
+        "experiments": ("SCENARIO_DEFAULTS", "ExperimentResult", "config_digest", "run_experiment"),
+    }.items()
+    for name in names
+}
 
-__all__ = [
-    "__version__",
-    "TemporalGraph",
-    "DirectedTemporalGraph",
-    "StrategyProfile",
-    "CostVector",
-    "SetCoverInstance",
-    "ReductionLayout",
-    "DynamicsTrace",
-    "OUTCOME_CAP",
-    "OUTCOME_CYCLE",
-    "OUTCOME_GE",
-    "OUTCOME_NE",
-    "Move",
-    "EquilibriumReport",
-    "ProfileAudit",
-    "BoundsReport",
-    "ForbiddenStructure",
-    "LargeNodeWitness",
-    "ExperimentResult",
-    "TncgError",
-    "FormatError",
-    "SearchSpaceExceeded",
-    "PreconditionViolated",
-    "NotTemporallyConnected",
-    "NotASpanner",
-    "DEFAULT_BUDGET",
-    "SCENARIO_DEFAULTS",
-    "reach",
-    "mask_to_set",
-    "set_to_mask",
-    "is_temporal_path",
-    "is_temporally_connected",
-    "is_temporal_spanner",
-    "is_minimal_spanner",
-    "compress_labels",
-    "created_graph",
-    "empty_profile",
-    "agent_cost",
-    "social_cost",
-    "greedy_best_response",
-    "exact_best_response",
-    "check_ne",
-    "check_ge",
-    "necessary_set",
-    "find_forbidden_structure",
-    "find_large_node",
-    "verify_large_node",
-    "audit_edge_bounds",
-    "audit_profile",
-    "freeze_relabel",
-    "run_dynamics",
-    "replay",
-    "final_profile",
-    "trace_from_dict",
-    "gen_hypercube",
-    "gen_t2_family",
-    "gen_br_cycle",
-    "gen_reduction_br",
-    "gen_reduction_ne",
-    "gen_t2_equilibrium",
-    "gen_random_host",
-    "gen_random_profile",
-    "gen_random_directed",
-    "gen_random_setcover",
-    "minimal_spanner",
-    "minimum_spanner",
-    "poa_ratio",
-    "parse_graph",
-    "parse_host",
-    "parse_profile",
-    "parse_setcover",
-    "dump_graph",
-    "dump_profile",
-    "dump_setcover",
-    "load_graph",
-    "load_host",
-    "load_profile",
-    "load_setcover",
-    "save_graph",
-    "save_profile",
-    "save_setcover",
-    "validate_files",
-    "run_experiment",
-    "config_digest",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    """Import the submodule behind a public name, or the named submodule,
+    and keep the value as a package global so the next lookup is direct."""
+    if name in _EXPORTS:
+        value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    elif name in _EXPORTS.values():
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *_EXPORTS.values()})
