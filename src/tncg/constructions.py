@@ -13,7 +13,7 @@ import random
 from itertools import combinations
 from typing import Callable, Iterable, Optional
 
-from .core import TemporalGraph, _mono_spanning_tree, norm_pair
+from .core import TemporalGraph, _check_int, _mono_spanning_tree, norm_pair
 from .game import DirectedTemporalGraph, StrategyProfile, empty_profile
 
 
@@ -350,6 +350,8 @@ def gen_t2_equilibrium(host: TemporalGraph) -> StrategyProfile:
 def gen_random_host(n: int, t: int, seed: int) -> TemporalGraph:
     """Complete host with labels uniform in {1..t}, compressed to be
     consecutive; deterministic in seed."""
+    _check_int("n", n)
+    _check_int("t", t)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     max_t = n * (n - 1) // 2

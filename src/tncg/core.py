@@ -36,6 +36,19 @@ def reset_reach_evaluations() -> None:
     _REACH_EVALS = 0
 
 
+def _is_int(x) -> bool:
+    """Counts, labels and nodes are ints; a bool would silently stand for 0 or 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_int(name: str, value, low: int | None = None) -> None:
+    """ValueError naming `name` unless value is an int (not a bool) >= low."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 def norm_pair(u: int, v: int) -> Pair:
     if u == v:
         raise ValueError(f"self-loop at node {u}")
@@ -53,14 +66,13 @@ class TemporalGraph:
     __slots__ = ("n", "edges", "_classes", "_rows")
 
     def __init__(self, n: int, edges: Mapping[tuple[int, int], int]):
-        if n < 1:
-            raise ValueError(f"node count must be >= 1, got {n}")
+        _check_int("node count", n, 1)
         norm: dict[Pair, int] = {}
         for (u, v), label in edges.items():
             p = norm_pair(u, v)
             if not (0 <= p[0] and p[1] < n):
                 raise ValueError(f"edge {p} out of range for n={n}")
-            if not isinstance(label, int) or isinstance(label, bool) or label < 1:
+            if not (_is_int(label) and label >= 1):
                 raise ValueError(f"edge {p} has invalid label {label!r}")
             if p in norm and norm[p] != label:
                 raise ValueError(f"edge {p} given conflicting labels")

@@ -13,8 +13,8 @@ import random
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Sequence
 
-from .core import TemporalGraph
-from .game import CostVector, StrategyProfile, _CreatedState, _is_node
+from .core import TemporalGraph, _check_int, _is_int
+from .game import CostVector, StrategyProfile, _CreatedState
 from .responses import DEFAULT_BUDGET, _AgentView, _check_budget
 
 OUTCOME_GE = "converged-GE"
@@ -86,13 +86,13 @@ def run_dynamics(
     deterministic sweep confirms it.  Explicit schedules are replay tools:
     exhausting one ends the run with the step-cap outcome, and an empty one
     raises ValueError, as it activates nobody.  max_steps caps
-    applied moves (default 10 * n^2); a cap below 1 raises ValueError, as
-    does budget_cap < 0.  One created-graph state, patched per move, serves
+    applied moves (default 10 * n^2); a cap that is not an integer >= 1
+    raises ValueError, as does a budget_cap that is not an integer >= 0.  One created-graph state, patched per move, serves
     the whole run.
     """
     n = host.n
-    if max_steps is not None and max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    if max_steps is not None:
+        _check_int("max_steps", max_steps, 1)
     _check_budget(budget_cap)
     if rule not in ("greedy", "exact"):
         raise ValueError(f"unknown rule {rule!r}")
@@ -108,7 +108,7 @@ def run_dynamics(
         if not explicit:
             raise ValueError("schedule is empty")
         for v in explicit:
-            if not (_is_node(v) and 0 <= v < n):
+            if not (_is_int(v) and 0 <= v < n):
                 raise ValueError(f"scheduled agent {v!r} out of range")
         schedule_name = "explicit"
 

@@ -16,10 +16,10 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .core import TemporalGraph, mask_to_set, norm_pair, set_to_mask
+from .core import TemporalGraph, _is_int, mask_to_set, norm_pair, set_to_mask
 from .errors import PreconditionViolated
 from .game import CostVector, DirectedTemporalGraph, StrategyProfile
-from .game import _agent_costs, _check_profile_n, _CreatedState, _is_node, _labelled_arcs
+from .game import _agent_costs, _check_profile_n, _CreatedState, _labelled_arcs
 from .responses import DEFAULT_BUDGET, _AgentView, _check_budget
 
 
@@ -217,7 +217,7 @@ def necessary_set(
     twin is absent; with the twin present the set is empty.
     """
     view = _AgentView(_CreatedState(host, profile), u)
-    if not (_is_node(w) and 0 <= w < host.n):
+    if not (_is_int(w) and 0 <= w < host.n):
         raise ValueError(f"agent {u}: endpoint {w!r} out of range")
     if w not in view.current:
         raise ValueError(f"arc ({u}, {w}) is not present in the profile")

@@ -20,11 +20,12 @@ import json
 import math
 import os
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, TextIO, Union
 
 from . import __version__
 from .constructions import (
@@ -49,6 +50,7 @@ from .equilibrium import (
     freeze_relabel,
     verify_large_node,
 )
+from .core import _check_int, _is_int
 from .errors import PreconditionViolated, SearchSpaceExceeded
 from .game import empty_profile, social_cost
 from .optimum import minimum_spanner, poa_ratio
@@ -80,21 +82,28 @@ def _pmap(fn: Callable, args: Iterable[tuple], total: int, threads: int) -> tupl
     return rows, fals
 
 
-def write_json(path: Union[str, Path], obj, sort_keys: bool = True) -> None:
-    """Write json.dumps(obj, indent=2, sort_keys=sort_keys) + "\\n" to path
-    without holding the text: the encoder streams into a sibling temporary
-    file, which then replaces path.  A write that fails removes the
-    temporary file and leaves any older file at path unchanged."""
-    path = Path(path)
+@contextmanager
+def _replacing(path: Path, newline: str | None = None) -> Iterator[TextIO]:
+    """A sibling temporary file to write path's new text into; on leaving
+    the block it replaces path.  A write that fails removes the temporary
+    file and leaves any older file at path unchanged."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=sort_keys)
-            fh.write("\n")
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path: Union[str, Path], obj, sort_keys: bool = True) -> None:
+    """Write json.dumps(obj, indent=2, sort_keys=sort_keys) + "\\n" to path
+    without holding the text: the encoder streams into the file that
+    replaces path (`_replacing`)."""
+    with _replacing(Path(path)) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=sort_keys)
+        fh.write("\n")
 
 
 def _frac_fields(prefix: str, value: Fraction) -> dict:
@@ -523,7 +532,7 @@ _SCENARIOS: dict[str, _Scenario] = {
     "freeze-relabel-audit": _Scenario(
         _freeze_instance,
         {"instances": 30, "n_min": 4, "n_max": 10, "t_min": 2, "t_max": 4, "retries": 6},
-        rules=_sweep_rules,
+        rules=lambda cfg: [*_sweep_rules(cfg), ("retries", cfg["retries"] >= 1, "must be >= 1")],
         summary=lambda rows: {"ges_verified": sum(1 for r in rows if r["converged"])},
     ),
     "t2-existence-sweep": _Scenario(
@@ -558,7 +567,7 @@ def _instance_args(spec: _Scenario, cfg: dict) -> Iterator[tuple]:
 
 
 def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    return _is_int(value) and value >= 0
 
 
 def _check_config(scenario: str, cfg: dict) -> None:
@@ -609,8 +618,7 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one scenario and write <scenario>.report.json plus
     <scenario>.instances.csv under out_dir."""
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    _check_int("threads", threads, 1)
     scenario = config.get("scenario")
     if scenario not in _SCENARIOS:
         known = ", ".join(sorted(_SCENARIOS))
@@ -646,7 +654,7 @@ def run_experiment(
     json_path = out / f"{scenario}.report.json"
     write_json(json_path, report)
     csv_path = out / f"{scenario}.instances.csv"
-    with open(csv_path, "w", newline="") as fh:
+    with _replacing(csv_path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         for row in rows:

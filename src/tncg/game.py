@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .core import TemporalGraph, _is_matching, _reach_sweep
+from .core import TemporalGraph, _is_int, _is_matching, _reach_sweep
 
 
 @dataclass(frozen=True, order=True)
@@ -101,20 +101,15 @@ class StrategyProfile:
         return f"StrategyProfile(n={self.n}, arcs={self.arc_count})"
 
 
-def _is_node(x) -> bool:
-    """Node labels are ints; a bool would silently stand for node 0 or 1."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _check_agent(n: int, v: int) -> None:
-    if not (_is_node(v) and 0 <= v < n):
+    if not (_is_int(v) and 0 <= v < n):
         raise ValueError(f"agent {v!r} out of range")
 
 
 def _checked_strategy(n: int, v: int, s: Iterable[int]) -> frozenset[int]:
     fs = frozenset(s)
     for w in fs:
-        if not (_is_node(w) and 0 <= w < n):
+        if not (_is_int(w) and 0 <= w < n):
             raise ValueError(f"agent {v}: endpoint {w!r} out of range")
     if v in fs:
         raise ValueError(f"agent {v} buys an arc to itself")

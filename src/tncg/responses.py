@@ -29,7 +29,7 @@ activates every agent through a view.
 
 from __future__ import annotations
 
-from .core import TemporalGraph, _reach_sweep
+from .core import TemporalGraph, _check_int, _reach_sweep
 from .errors import SearchSpaceExceeded
 from .game import CostVector, StrategyProfile, _check_agent, _CreatedState
 
@@ -37,8 +37,7 @@ DEFAULT_BUDGET = 10_000_000
 
 
 def _check_budget(budget_cap: int) -> None:
-    if budget_cap < 0:
-        raise ValueError(f"budget_cap must be >= 0, got {budget_cap}")
+    _check_int("budget_cap", budget_cap, 0)
 
 
 class _AgentView:

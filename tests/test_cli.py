@@ -292,6 +292,7 @@ def test_experiment_subcommand(tmp_path, capsys):
         ("large-node-audit", ["below_arcs=[600]", "instances=1"], "below_arcs"),
         ("t2-existence-sweep", ["exhaustive_n=7"], "exhaustive_n"),
         ("hypercube-poa", ["dims=[3, 9]"], "dims"),
+        ("freeze-relabel-audit", ["retries=0"], "retries"),
     ],
 )
 def test_experiment_rejects_bad_config(tmp_path, capsys, scenario, settings, key):

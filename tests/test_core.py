@@ -8,13 +8,19 @@ from hypothesis import strategies as st
 from tncg import (
     StrategyProfile,
     TemporalGraph,
+    check_ne,
     compress_labels,
+    gen_hypercube,
+    gen_random_host,
     is_minimal_spanner,
     is_temporal_path,
     is_temporal_spanner,
     is_temporally_connected,
     mask_to_set,
+    minimum_spanner,
     reach,
+    run_dynamics,
+    run_experiment,
     set_to_mask,
 )
 from tncg.core import _reach_sweep, reach_evaluations, reset_reach_evaluations
@@ -343,3 +349,21 @@ def test_edges_are_read_only_and_pickle():
     back = pickle.loads(pickle.dumps(g))
     assert back == g and hash(back) == hash(g)
     assert back.reach_mask(0) == g.reach_mask(0) == 0b111
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda h, p, out: minimum_spanner(h, budget_cap=True), "budget_cap"),
+    (lambda h, p, out: check_ne(h, p, budget_cap=2.5), "budget_cap"),
+    (lambda h, p, out: run_dynamics(h, p, max_steps=2.5), "max_steps"),
+    (lambda h, p, out: run_experiment({"scenario": "br-cycle"}, out_dir=out, threads=True), "threads"),
+    (lambda h, p, out: TemporalGraph(True, {}), "node count"),
+    (lambda h, p, out: gen_random_host(5, True, 0), "t"),
+    (lambda h, p, out: gen_random_host(5.0, 3, 0), "n"),
+], ids=["minimum_spanner", "check_ne", "run_dynamics", "run_experiment", "TemporalGraph",
+        "gen_random_host-t", "gen_random_host-n"])
+def test_integer_parameters_reject_bool_and_float_by_name(call, name, tmp_path):
+    # a bool would stand for 0 or 1, and a float would be compared as a count
+    host, profile = gen_hypercube(3)
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+        call(host, profile, tmp_path)
+    assert not list(tmp_path.iterdir())

@@ -184,6 +184,34 @@ def test_failed_report_write_leaves_nothing_behind(tmp_path, monkeypatch):
     assert not list((tmp_path / "new").iterdir())
 
 
+def test_failed_csv_write_leaves_the_older_csv(tmp_path, monkeypatch):
+    # the instance CSV, like the report, replaces the older file only once whole
+    config = {"scenario": "t2-tightness", "n_values": [5, 6]}
+    old = run_experiment(config, out_dir=tmp_path / "old")
+    before = {p.name: p.read_bytes() for p in (tmp_path / "old").iterdir()}
+
+    class FailingWriter(csv.DictWriter):
+        def writerow(self, row):
+            if row["index"] == 1:
+                raise OSError("disk full")
+            return super().writerow(row)
+
+    monkeypatch.setattr(experiments.csv, "DictWriter", FailingWriter)
+    for out in (tmp_path / "old", tmp_path / "new"):
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(config, out_dir=out)
+    assert {p.name: p.read_bytes() for p in (tmp_path / "old").iterdir()} == before
+    assert old.csv_path.name in before
+    assert [p.name for p in (tmp_path / "new").iterdir()] == [old.json_path.name]
+
+
+def test_freeze_audit_needs_a_retry(tmp_path):
+    # with no retry an instance attempts nothing, so the run would pass vacuously
+    with pytest.raises(ValueError, match=r"'retries' = 0: must be >= 1"):
+        run_experiment({"scenario": "freeze-relabel-audit", "retries": 0}, out_dir=tmp_path)
+    assert not list(tmp_path.iterdir())
+
+
 def test_import_leaves_multiprocessing_unloaded():
     # only a run with threads > 1 imports the process pool
     src = Path(experiments.__file__).resolve().parent.parent
