@@ -87,8 +87,8 @@ def run_dynamics(
     exhausting one ends the run with the step-cap outcome, and an empty one
     raises ValueError, as it activates nobody.  max_steps caps
     applied moves (default 10 * n^2); a cap that is not an integer >= 1
-    raises ValueError, as does a budget_cap that is not an integer >= 0.  One created-graph state, patched per move, serves
-    the whole run.
+    raises ValueError, as does a budget_cap that is not an integer >= 0.
+    One created-graph state, patched per move, serves the whole run.
     """
     n = host.n
     if max_steps is not None:

@@ -41,6 +41,7 @@ from .constructions import (
     SetCoverInstance,
     _complete_host,
 )
+from .core import _check_int, _is_int
 from .dynamics import OUTCOME_CYCLE, OUTCOME_GE, final_profile, run_dynamics
 from .equilibrium import (
     _dense_below_threshold,
@@ -50,7 +51,6 @@ from .equilibrium import (
     freeze_relabel,
     verify_large_node,
 )
-from .core import _check_int, _is_int
 from .errors import PreconditionViolated, SearchSpaceExceeded
 from .game import empty_profile, social_cost
 from .optimum import minimum_spanner, poa_ratio
