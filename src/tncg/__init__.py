@@ -1,7 +1,7 @@
 """Temporal reachability network creation: library and experiment harness.
 
-Every public name is importable from `tncg`; the submodule that defines it
-is imported on its first lookup (PEP 562), so `import tncg` loads none.
+Every public name is importable from `tncg`; `_EXPORTS` names the
+submodule that defines each one, and `import tncg` loads them all.
 """
 
 from importlib import import_module
@@ -107,19 +107,6 @@ _EXPORTS = {
 
 __all__ = ["__version__", *_EXPORTS]
 
-
-def __getattr__(name: str):
-    """Import the submodule behind a public name, or the named submodule,
-    and keep the value as a package global so the next lookup is direct."""
-    if name in _EXPORTS:
-        value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
-    elif name in _EXPORTS.values():
-        value = import_module(f".{name}", __name__)
-    else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_EXPORTS, *_EXPORTS.values()})
+for _name, _module in _EXPORTS.items():
+    globals()[_name] = getattr(import_module(f".{_module}", __name__), _name)
+del _name, _module

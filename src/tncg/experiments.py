@@ -652,9 +652,12 @@ def run_experiment(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     json_path = out / f"{scenario}.report.json"
-    write_json(json_path, report)
     csv_path = out / f"{scenario}.instances.csv"
-    with _replacing(csv_path, newline="") as fh:
+    # both files stay temporary until both are whole, so a failed write
+    # leaves the older pair, from one config, in place
+    with _replacing(json_path) as jf, _replacing(csv_path, newline="") as fh:
+        json.dump(report, jf, indent=2, sort_keys=True)
+        jf.write("\n")
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         for row in rows:

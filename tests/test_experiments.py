@@ -184,10 +184,10 @@ def test_failed_report_write_leaves_nothing_behind(tmp_path, monkeypatch):
     assert not list((tmp_path / "new").iterdir())
 
 
-def test_failed_csv_write_leaves_the_older_csv(tmp_path, monkeypatch):
-    # the instance CSV, like the report, replaces the older file only once whole
-    config = {"scenario": "t2-tightness", "n_values": [5, 6]}
-    old = run_experiment(config, out_dir=tmp_path / "old")
+def test_failed_csv_write_replaces_neither_file(tmp_path, monkeypatch):
+    # the report and the CSV replace the older pair only once both are whole,
+    # so a failed run under another config leaves no report beside a stale CSV
+    old = run_experiment({"scenario": "t2-tightness", "n_values": [5, 6]}, out_dir=tmp_path / "old")
     before = {p.name: p.read_bytes() for p in (tmp_path / "old").iterdir()}
 
     class FailingWriter(csv.DictWriter):
@@ -199,10 +199,10 @@ def test_failed_csv_write_leaves_the_older_csv(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments.csv, "DictWriter", FailingWriter)
     for out in (tmp_path / "old", tmp_path / "new"):
         with pytest.raises(OSError, match="disk full"):
-            run_experiment(config, out_dir=out)
+            run_experiment({"scenario": "t2-tightness", "n_values": [5, 6, 7]}, out_dir=out)
     assert {p.name: p.read_bytes() for p in (tmp_path / "old").iterdir()} == before
-    assert old.csv_path.name in before
-    assert [p.name for p in (tmp_path / "new").iterdir()] == [old.json_path.name]
+    assert sorted(before) == sorted([old.json_path.name, old.csv_path.name])
+    assert not list((tmp_path / "new").iterdir())
 
 
 def test_freeze_audit_needs_a_retry(tmp_path):

@@ -1,80 +1,18 @@
-"""The package namespace: each public name resolves from `tncg`, and a
-submodule is imported only when one of its names is first looked up.
+"""The package namespace: one table names each public name and the submodule
+that defines it."""
 
-Each test runs in a fresh interpreter, as the modules loaded so far in the
-test process say nothing about what `import tncg` loads."""
+import importlib
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+import tncg
 
 
-def _probe(code: str):
-    """The JSON value that `code` prints, run in a fresh interpreter."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=False)
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout)
-
-
-LOADED = "sorted(m for m in sys.modules if m.startswith('tncg.'))"
-
-
-def test_import_loads_no_submodule():
-    assert _probe(f"import json, sys, tncg; print(json.dumps({LOADED}))") == []
-
-
-def test_dynamics_and_checks_leave_harness_modules_unloaded():
-    loaded = _probe(
-        "import json, sys, tncg\n"
-        "host = tncg.gen_random_host(5, 3, 0)\n"
-        "trace = tncg.run_dynamics(host, tncg.empty_profile(host.n))\n"
-        "assert tncg.check_ge(host, tncg.final_profile(trace)).stable\n"
-        f"print(json.dumps({LOADED}))"
-    )
-    assert "tncg.dynamics" in loaded and "tncg.equilibrium" in loaded
-    assert not {"tncg.experiments", "tncg.fileio", "tncg.optimum"} & set(loaded)
-
-
-def test_every_public_name_resolves_and_is_listed():
-    out = _probe(
-        "import importlib, json, tncg\n"
-        "names = list(tncg.__all__)\n"
-        "table = tncg._EXPORTS\n"
-        "home = [n for n in table if getattr(tncg, n) is not getattr(importlib.import_module('tncg.' + table[n]), n)]\n"
-        "scope = {}\n"
-        "exec('from tncg import *', scope)\n"
-        "print(json.dumps({'names': names, 'misplaced': home, 'dir': dir(tncg),\n"
-        "                  'star': sorted(k for k in scope if k != '__builtins__')}))"
-    )
-    names = out["names"]
+def test_every_public_name_resolves_to_its_module():
+    names = tncg.__all__
     assert len(names) == len(set(names)) == 84
-    assert out["misplaced"] == []
-    assert set(names) <= set(out["dir"])
-    assert out["star"] == sorted(names)
-
-
-def test_unknown_attribute_is_named():
-    out = _probe(
-        "import json, tncg\n"
-        "try:\n"
-        "    tncg.no_such_name\n"
-        "except AttributeError as exc:\n"
-        "    print(json.dumps(str(exc)))"
-    )
-    assert "no_such_name" in out
-
-
-def test_experiments_module_leaves_multiprocessing_unloaded():
-    # `import tncg` loads no harness, so load it explicitly: only a run with
-    # threads > 1 imports the process pool
-    loaded = _probe(
-        "import json, sys, tncg\n"
-        "tncg.run_experiment\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent')))))"
-    )
-    assert loaded == []
+    misplaced = [
+        n for n, m in tncg._EXPORTS.items() if getattr(tncg, n) is not getattr(importlib.import_module(f"tncg.{m}"), n)
+    ]
+    assert misplaced == []
+    scope: dict = {}
+    exec("from tncg import *", scope)
+    assert sorted(k for k in scope if k != "__builtins__") == sorted(names)
