@@ -59,63 +59,61 @@ def _emit(fmt: str, payload) -> None:
     writer.writerows(flat)
 
 
+def _brcycle(args):
+    host, profile, schedule = gen_br_cycle()
+    return host, profile, {"schedule": schedule}
+
+
+def _reduction(reduce):
+    """The generator call of one set-cover reduction, read from --setcover."""
+    def generate(args):
+        host, profile, layout = reduce(load_setcover(args.setcover))
+        return host, profile, {"layout": layout.as_dict()}
+    return generate
+
+
 def _cmd_gen(args) -> int:
-    layout = None
-    schedule = None
-    profile = None
-    if args.family == "hypercube":
-        host, profile = gen_hypercube(args.dim)
-    elif args.family == "t2family":
-        host, profile = gen_t2_family(args.n)
-    elif args.family == "brcycle":
-        host, profile, schedule = gen_br_cycle()
-    elif args.family == "random":
-        host = gen_random_host(args.n, args.t, args.seed)
-    elif args.family == "reduce-br":
-        sc = load_setcover(args.setcover)
-        host, profile, layout = gen_reduction_br(sc)
-    else:
-        sc = load_setcover(args.setcover)
-        host, profile, layout = gen_reduction_ne(sc)
+    # each family's generator: (host, profile or None, extra summary entries)
+    host, profile, extra = args.generate(args)
     save_graph(host, args.output)
     files = {"host": args.output}
     if getattr(args, "profile", None):
         save_profile(profile, args.profile)
         files["profile"] = args.profile
-    if schedule is not None and args.schedule_out:
-        Path(args.schedule_out).write_text("\n".join(str(v) for v in schedule) + "\n")
+    if getattr(args, "schedule_out", None):
+        Path(args.schedule_out).write_text("\n".join(str(v) for v in extra["schedule"]) + "\n")
         files["schedule"] = args.schedule_out
-    summary = {
-        "family": args.family,
-        "n": host.n,
-        "t": host.lifetime,
-        "host_edges": host.edge_count,
-        "files": files,
-    }
+    summary = {"family": args.family, "n": host.n, "t": host.lifetime,
+               "host_edges": host.edge_count, "files": files}
     if profile is not None:
         summary["arcs"] = profile.arc_count
-    if schedule is not None:
-        summary["schedule"] = schedule
-    if layout is not None:
-        summary["layout"] = layout.as_dict()
-    _emit(args.format, summary)
+    _emit(args.format, {**summary, **extra})
     return 0
 
 
-def _cmd_check(args) -> int:
+def _load(args):
     host = load_host(args.host)
-    profile = load_profile(args.profile, n=host.n)
+    return host, load_profile(args.profile, n=host.n)
+
+
+def _check_mode(args, audit: bool = False):
+    """Host, profile and the --mode equilibrium check of the profile."""
+    host, profile = _load(args)
     if args.mode == "ne":
-        report = check_ne(host, profile, budget_cap=args.budget, audit=args.audit)
+        report = check_ne(host, profile, budget_cap=args.budget, audit=audit)
     else:
-        report = check_ge(host, profile, audit=args.audit)
+        report = check_ge(host, profile, audit=audit)
+    return host, profile, report
+
+
+def _cmd_check(args) -> int:
+    _, _, report = _check_mode(args, args.audit)
     _emit(args.format, report.as_dict())
     return 0 if report.stable else 1
 
 
 def _cmd_br(args) -> int:
-    host = load_host(args.host)
-    profile = load_profile(args.profile, n=host.n)
+    host, profile = _load(args)
     view = _AgentView(_CreatedState(host, profile), args.agent)
     rule = "exact" if args.exact else "greedy"
     strategy, cost = view.best(rule, args.budget)
@@ -149,10 +147,7 @@ def _parse_schedule_arg(spec: str):
 
 def _cmd_dynamics(args) -> int:
     host = load_host(args.host)
-    if args.profile:
-        profile = load_profile(args.profile, n=host.n)
-    else:
-        profile = empty_profile(host.n)
+    profile = load_profile(args.profile, n=host.n) if args.profile else empty_profile(host.n)
     schedule = _parse_schedule_arg(args.schedule)
     trace = run_dynamics(
         host,
@@ -202,12 +197,7 @@ def _cmd_spanner(args) -> int:
 
 
 def _cmd_poa(args) -> int:
-    host = load_host(args.host)
-    profile = load_profile(args.profile, n=host.n)
-    if args.mode == "ne":
-        report = check_ne(host, profile, budget_cap=args.budget)
-    else:
-        report = check_ge(host, profile)
+    host, profile, report = _check_mode(args)
     if not report.stable:
         _emit(args.format, {"stable": False, "mode": args.mode, "witness": list(report.witness)})
         return 1
@@ -292,79 +282,74 @@ def _cmd_validate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["json", "csv"], default="json", help="stdout format")
+    def flag(*names, **kw) -> argparse.ArgumentParser:
+        # a parent parser holding one flag, for the commands that read it
+        p = argparse.ArgumentParser(add_help=False)
+        p.add_argument(*names, **kw)
+        return p
+
+    common = flag("--format", choices=["json", "csv"], default="json", help="stdout format")
+    host = flag("--host", required=True)
+    profile = flag("--profile", required=True)
+    budget = flag("--budget", type=int, default=DEFAULT_BUDGET)
+    mode = flag("--mode", choices=["ne", "ge"], default="ne")
 
     parser = argparse.ArgumentParser(prog="tncg", description=__doc__)
     parser.add_argument("--version", action="version", version=f"tncg {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_gen_family(gsub, name, help=None, **extra_args):
-        # an explicit help=None would still list the family in its parent's help
-        p = gsub.add_parser(name, parents=[common], **({"help": help} if help else {}))
-        for flag, kw in extra_args.items():
-            p.add_argument(flag, **kw)
+    def command(parsers, name, handler, *parents, **kw) -> argparse.ArgumentParser:
+        p = parsers.add_parser(name, parents=[common, *parents], **kw)
+        p.set_defaults(handler=handler)
+        return p
+
+    def add_gen_family(parsers, name, generate, flags={}, **kw) -> None:
+        p = command(parsers, name, _cmd_gen, **kw)
+        p.set_defaults(family=name, generate=generate)
+        for flag_name, spec in flags.items():
+            p.add_argument(flag_name, **spec)
         p.add_argument("-o", "--output", required=True, help="host file (.tg)")
         if name != "random":
             p.add_argument("--profile", help="also write the profile (.tsp)")
         if name == "brcycle":
             p.add_argument("--schedule-out", help="also write the cycling schedule")
-        return p
 
+    count = {"type": int, "required": True}
     gen = sub.add_parser("gen", help="generate instance families")
     gsub = gen.add_subparsers(dest="family", required=True)
-    add_gen_family(gsub, "hypercube", **{"--dim": {"type": int, "required": True}})
-    add_gen_family(gsub, "t2family", **{"--n": {"type": int, "required": True}})
-    add_gen_family(gsub, "brcycle")
-    add_gen_family(
-        gsub,
-        "random",
-        **{"--n": {"type": int, "required": True}, "--t": {"type": int, "required": True},
-           "--seed": {"type": int, "default": 0}},
-    )
-    setcover = {"--setcover": {"required": True}}
-    for family in ("reduce-br", "reduce-ne"):
-        add_gen_family(gsub, family, **setcover)
-        alias = add_gen_family(sub, family, help=f"alias of gen {family}", **setcover)
-        alias.set_defaults(family=family)
+    add_gen_family(gsub, "hypercube", lambda a: (*gen_hypercube(a.dim), {}), {"--dim": count})
+    add_gen_family(gsub, "t2family", lambda a: (*gen_t2_family(a.n), {}), {"--n": count})
+    add_gen_family(gsub, "brcycle", _brcycle)
+    add_gen_family(gsub, "random", lambda a: (gen_random_host(a.n, a.t, a.seed), None, {}),
+                   {"--n": count, "--t": count, "--seed": {"type": int, "default": 0}})
+    for family, reduce in (("reduce-br", gen_reduction_br), ("reduce-ne", gen_reduction_ne)):
+        setcover = {"--setcover": {"required": True}}
+        add_gen_family(gsub, family, _reduction(reduce), setcover)
+        add_gen_family(sub, family, _reduction(reduce), setcover, help=f"alias of gen {family}")
 
-    p = sub.add_parser("check", parents=[common], help="verify an equilibrium")
-    p.add_argument("--host", required=True)
-    p.add_argument("--profile", required=True)
-    p.add_argument("--mode", choices=["ne", "ge"], default="ne")
+    p = command(sub, "check", _cmd_check, host, profile, budget, mode,
+                help="verify an equilibrium")
     p.add_argument("--audit", action="store_true", help="attach structural audits")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
-    p = sub.add_parser("br", parents=[common], help="best response for one agent")
-    p.add_argument("--host", required=True)
-    p.add_argument("--profile", required=True)
+    p = command(sub, "br", _cmd_br, host, profile, budget, help="best response for one agent")
     p.add_argument("--agent", type=int, required=True)
     p.add_argument("--exact", action="store_true", help="exact instead of greedy")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
-    p = sub.add_parser("dynamics", parents=[common], help="improving-response dynamics")
-    p.add_argument("--host", required=True)
+    p = command(sub, "dynamics", _cmd_dynamics, host, budget, help="improving-response dynamics")
     p.add_argument("--profile", help="start profile, default empty")
     p.add_argument("--schedule", default="round-robin", help="round-robin | random | file:PATH")
     p.add_argument("--rule", choices=["greedy", "exact"], default="greedy")
     p.add_argument("--max-steps", type=int, default=None)
     p.add_argument("--seed", type=int, default=0, help="seed of the random schedule")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("-o", "--output", help="write full trace JSON here")
 
-    p = sub.add_parser("spanner", parents=[common], help="temporal spanner optima")
-    p.add_argument("--host", required=True)
+    p = command(sub, "spanner", _cmd_spanner, host, budget, help="temporal spanner optima")
     p.add_argument("--exact", action="store_true", help="minimum instead of minimal")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("-o", "--output", help="write the spanner (.tg)")
 
-    p = sub.add_parser("poa", parents=[common], help="price-of-anarchy ratio")
-    p.add_argument("--host", required=True)
-    p.add_argument("--profile", required=True)
-    p.add_argument("--mode", choices=["ne", "ge"], default="ne")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    command(sub, "poa", _cmd_poa, host, profile, budget, mode, help="price-of-anarchy ratio")
 
-    p = sub.add_parser("experiment", parents=[common], help="run a scenario")
+    p = command(sub, "experiment", _cmd_experiment, help="run a scenario")
     p.add_argument("--scenario", choices=sorted(SCENARIO_DEFAULTS))
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
@@ -372,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1, help="worker processes")
     p.add_argument("--out-dir", default=".", help="directory for report files")
 
-    p = sub.add_parser("validate", parents=[common], help="check input files")
+    p = command(sub, "validate", _cmd_validate, help="check input files")
     p.add_argument("files", nargs="*")
     p.add_argument("--host", help="validate as host and use for profile ranges")
     p.add_argument("--as-host", action="store_true", help="treat .tg files as hosts")
@@ -380,29 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH = {
-    "gen": _cmd_gen,
-    "reduce-br": _cmd_gen,
-    "reduce-ne": _cmd_gen,
-    "check": _cmd_check,
-    "br": _cmd_br,
-    "dynamics": _cmd_dynamics,
-    "spanner": _cmd_spanner,
-    "poa": _cmd_poa,
-    "experiment": _cmd_experiment,
-    "validate": _cmd_validate,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = _DISPATCH[args.command]
+    args = build_parser().parse_args(argv)
     try:
         if "budget" in args:
             _check_budget(args.budget)
-        return handler(args)
-    except (TncgError, ValueError, OSError, json.JSONDecodeError) as e:
+        return args.handler(args)
+    except (TncgError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
