@@ -32,8 +32,7 @@ class SetCoverInstance:
         sets: Iterable[Iterable[int]],
         cover: Optional[Iterable[int]] = None,
     ):
-        if k < 1:
-            raise ValueError(f"universe size must be >= 1, got {k}")
+        _check_int("universe size", k, 1)
         built = tuple(frozenset(s) for s in sets)
         if not built:
             raise ValueError("at least one set is required")
@@ -148,8 +147,7 @@ def gen_hypercube(d: int) -> tuple[TemporalGraph, StrategyProfile]:
     other pair gets label d+1.  Each hypercube edge is bought by its
     numerically smaller endpoint.
     """
-    if d < 3:
-        raise ValueError(f"dimension must be >= 3, got {d}")
+    _check_int("dimension", d, 3)
     n = 1 << d
 
     def label_of(u: int, v: int) -> int:
@@ -168,6 +166,7 @@ def gen_t2_family(n: int) -> tuple[TemporalGraph, StrategyProfile]:
     hangs off it via arcs (2,j) and (j,0).  Pair {1,2} and pairs {0,j} carry
     label 1; everything else label 2.
     """
+    _check_int("n", n)
     if n < 5:
         raise ValueError(f"need n >= 5, got {n}")
     host = _complete_host(n, lambda u, v: 1 if (u, v) == (1, 2) or (u == 0 and v >= 3) else 2)
@@ -379,6 +378,9 @@ def gen_random_profile(host: TemporalGraph, arc_count: int, seed: int) -> Strate
 
 def gen_random_directed(n: int, arc_count: int, t: int, seed: int):
     """Standalone random directed temporal graph; experiment plumbing."""
+    _check_int("n", n, 1)
+    _check_int("arc_count", arc_count)
+    _check_int("t", t, 1)
     rng = random.Random(seed)
     arcs = {}
     for (u, v) in _sample_arcs(n, arc_count, rng):

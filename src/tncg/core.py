@@ -163,8 +163,8 @@ class TemporalGraph:
 
         Only labels >= start_label may be used.
         """
-        if not (0 <= u < self.n):
-            raise ValueError(f"node {u} out of range")
+        if not (_is_int(u) and 0 <= u < self.n):
+            raise ValueError(f"node {u!r} out of range")
         return _reach_sweep(self.n, self._label_classes(), {start_label: [u]})[u]
 
     def reach(self, u: int) -> set[int]:
@@ -294,11 +294,12 @@ def _mono_spanning_tree(g: TemporalGraph) -> tuple[int, list[Pair]] | None:
 
 
 def is_temporal_path(g: TemporalGraph, nodes: list[int]) -> bool:
-    """True iff `nodes` is a simple path in g with non-decreasing labels."""
-    if len(nodes) != len(set(nodes)):
+    """True iff `nodes` is a simple path in g with non-decreasing labels;
+    a path has at least one node, and each is an int in range(g.n)."""
+    if not nodes or len(nodes) != len(set(nodes)):
         return False
-    if len(nodes) == 1:
-        return 0 <= nodes[0] < g.n
+    if not all(_is_int(v) and 0 <= v < g.n for v in nodes):
+        return False
     last = 0
     for a, b in zip(nodes, nodes[1:]):
         label = g.label(a, b)

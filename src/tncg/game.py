@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .core import TemporalGraph, _is_int, _is_matching, _reach_sweep
+from .core import TemporalGraph, _check_int, _is_int, _is_matching, _reach_sweep
 
 
 @dataclass(frozen=True, order=True)
@@ -52,6 +52,7 @@ class StrategyProfile:
     __slots__ = ("n", "strategies")
 
     def __init__(self, n: int, strategies: Sequence[Iterable[int]] | Mapping[int, Iterable[int]]):
+        _check_int("node count", n, 1)
         if isinstance(strategies, Mapping):
             for v in strategies:
                 _check_agent(n, v)
@@ -130,13 +131,17 @@ class DirectedTemporalGraph:
     __slots__ = ("n", "arcs")
 
     def __init__(self, n: int, arcs: Mapping[tuple[int, int], int]):
+        _check_int("node count", n, 1)
         for (u, v), label in arcs.items():
             if u == v:
-                raise ValueError(f"self-loop arc at {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc ({u}, {v}) out of range")
-            if label < 1:
-                raise ValueError(f"arc ({u}, {v}) has invalid label {label}")
+                raise ValueError(f"self-loop arc at {u!r}")
+            # `_is_int` inlined, as in TemporalGraph.__init__: a call per arc
+            # would slow every dense graph built
+            if (not (isinstance(u, int) and isinstance(v, int) and 0 <= u < n and 0 <= v < n)
+                    or isinstance(u, bool) or isinstance(v, bool)):
+                raise ValueError(f"arc ({u!r}, {v!r}) out of range")
+            if not isinstance(label, int) or isinstance(label, bool) or label < 1:
+                raise ValueError(f"arc ({u}, {v}) has invalid label {label!r}")
         self.n = n
         self.arcs = dict(arcs)
 

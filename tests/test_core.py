@@ -6,12 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tncg import (
+    DirectedTemporalGraph,
+    SetCoverInstance,
     StrategyProfile,
     TemporalGraph,
     check_ne,
     compress_labels,
+    empty_profile,
     gen_hypercube,
+    gen_random_directed,
     gen_random_host,
+    gen_t2_family,
     is_minimal_spanner,
     is_temporal_path,
     is_temporal_spanner,
@@ -359,11 +364,43 @@ def test_edges_are_read_only_and_pickle():
     (lambda h, p, out: TemporalGraph(True, {}), "node count"),
     (lambda h, p, out: gen_random_host(5, True, 0), "t"),
     (lambda h, p, out: gen_random_host(5.0, 3, 0), "n"),
+    (lambda h, p, out: StrategyProfile(2.0, [set(), set()]), "node count"),
+    (lambda h, p, out: StrategyProfile(True, [set()]), "node count"),
+    (lambda h, p, out: gen_hypercube(3.0), "dimension"),
+    (lambda h, p, out: gen_t2_family(5.0), "n"),
+    (lambda h, p, out: SetCoverInstance(2.5, [[1]]), "universe size"),
+    (lambda h, p, out: SetCoverInstance(True, [[1]]), "universe size"),
+    (lambda h, p, out: gen_random_directed(3, 2.0, 1, 0), "arc_count"),
 ], ids=["minimum_spanner", "check_ne", "run_dynamics", "run_experiment", "TemporalGraph",
-        "gen_random_host-t", "gen_random_host-n"])
+        "gen_random_host-t", "gen_random_host-n", "StrategyProfile-float", "StrategyProfile-bool",
+        "gen_hypercube", "gen_t2_family", "SetCoverInstance-float", "SetCoverInstance-bool",
+        "gen_random_directed-arc_count"])
 def test_integer_parameters_reject_bool_and_float_by_name(call, name, tmp_path):
     # a bool would stand for 0 or 1, and a float would be compared as a count
     host, profile = gen_hypercube(3)
     with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
         call(host, profile, tmp_path)
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda g: empty_profile(-1), r"^node count must be >= 1, got -1$"),
+    (lambda g: g.reach_mask(1.0), r"^node 1\.0 out of range$"),
+    (lambda g: g.reach_mask("1"), r"^node '1' out of range$"),
+    (lambda g: DirectedTemporalGraph(3, {(0, 1): 1.5}), r"^arc \(0, 1\) has invalid label 1\.5$"),
+    (lambda g: DirectedTemporalGraph(3, {(0, 1): "a"}), r"^arc \(0, 1\) has invalid label 'a'$"),
+    (lambda g: DirectedTemporalGraph(3, {(True, 2): 1}), r"^arc \(True, 2\) out of range$"),
+    (lambda g: gen_random_directed(3, 2, 0, 0), r"^t must be >= 1, got 0$"),
+    (lambda g: is_temporal_path(g, [0.0]), None),
+    (lambda g: is_temporal_path(g, []), None),
+], ids=["empty_profile", "reach_mask-float", "reach_mask-str", "arc-label-float", "arc-label-str",
+        "arc-node-bool", "gen_random_directed-t", "path-float-node", "path-empty"])
+def test_nodes_labels_and_paths_are_checked(call, error):
+    # a float or bool node, a non-integer label, or a count below its range
+    # ends in a ValueError; a list that is no path of g is not one
+    g = TemporalGraph(3, {(0, 1): 1, (1, 2): 2, (0, 2): 1})
+    if error is None:
+        assert call(g) is False
+    else:
+        with pytest.raises(ValueError, match=error):
+            call(g)
