@@ -159,7 +159,7 @@ def _cmd_dynamics(args) -> int:
         budget_cap=args.budget,
     )
     if args.output:
-        write_json(args.output, trace.as_dict(), sort_keys=False)
+        write_json(args.output, trace.as_dict())
     _emit(
         args.format,
         {

@@ -97,12 +97,12 @@ def _replacing(path: Path, newline: str | None = None) -> Iterator[TextIO]:
         raise
 
 
-def write_json(path: Union[str, Path], obj, sort_keys: bool = True) -> None:
-    """Write json.dumps(obj, indent=2, sort_keys=sort_keys) + "\\n" to path
-    without holding the text: the encoder streams into the file that
+def write_json(path: Union[str, Path], obj) -> None:
+    """Write json.dumps(obj, indent=2) + "\\n" to path, keys in their given
+    order, without holding the text: the encoder streams into the file that
     replaces path (`_replacing`)."""
     with _replacing(Path(path)) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=sort_keys)
+        json.dump(obj, fh, indent=2)
         fh.write("\n")
 
 
