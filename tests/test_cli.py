@@ -119,6 +119,22 @@ def test_reduce_br_alias(tmp_path, capsys):
     assert len(json.loads(out)["strategy"]) == 2
 
 
+@pytest.mark.parametrize("reduction", ["reduce-br", "reduce-ne"])
+def test_both_spellings_of_a_reduction_agree(tmp_path, capsys, reduction):
+    sc = tmp_path / "inst.sc"
+    sc.write_text("2 3\n1\n2\n1 2\ncover: 1 2\n")
+    host = tmp_path / "red.tg"
+    prof = tmp_path / "red.tsp"
+    outcomes = []
+    for spelling in ([reduction], ["gen", reduction]):
+        result = run(capsys, *spelling, "--setcover", str(sc), "-o", str(host), "--profile", str(prof))
+        outcomes.append((*result, host.read_bytes(), prof.read_bytes()))
+        host.unlink()
+        prof.unlink()
+    assert outcomes[0][0] == 0
+    assert outcomes[0] == outcomes[1]
+
+
 def test_br_greedy_default(tmp_path, capsys):
     host = tmp_path / "h.tg"
     prof = tmp_path / "p.tsp"
@@ -313,6 +329,8 @@ def test_experiment_rejects_bad_config(tmp_path, capsys, scenario, settings, key
     ["check", "--profile", "P", "--seed", "4"],
     ["br", "--profile", "P", "--agent", "0", "--greedy"],
     ["spanner", "--minimal"],
+    ["spanner", "--profile", "P"],
+    ["validate", "P", "--budget", "5"],
 ])
 def test_flags_only_where_read(tmp_path, capsys, argv):
     host = tmp_path / "h.tg"
