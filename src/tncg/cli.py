@@ -65,7 +65,6 @@ def _brcycle(args):
 
 
 def _reduction(reduce):
-    """The generator call of one set-cover reduction, read from --setcover."""
     def generate(args):
         host, profile, layout = reduce(load_setcover(args.setcover))
         return host, profile, {"layout": layout.as_dict()}
@@ -83,22 +82,23 @@ def _cmd_gen(args) -> int:
     if getattr(args, "schedule_out", None):
         Path(args.schedule_out).write_text("\n".join(str(v) for v in extra["schedule"]) + "\n")
         files["schedule"] = args.schedule_out
-    summary = {"family": args.family, "n": host.n, "t": host.lifetime,
-               "host_edges": host.edge_count, "files": files}
+    summary = {
+        "family": args.family,
+        "n": host.n,
+        "t": host.lifetime,
+        "host_edges": host.edge_count,
+        "files": files,
+    }
     if profile is not None:
         summary["arcs"] = profile.arc_count
     _emit(args.format, {**summary, **extra})
     return 0
 
 
-def _load(args):
-    host = load_host(args.host)
-    return host, load_profile(args.profile, n=host.n)
-
-
 def _check_mode(args, audit: bool = False):
     """Host, profile and the --mode equilibrium check of the profile."""
-    host, profile = _load(args)
+    host = load_host(args.host)
+    profile = load_profile(args.profile, n=host.n)
     if args.mode == "ne":
         report = check_ne(host, profile, budget_cap=args.budget, audit=audit)
     else:
@@ -113,7 +113,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_br(args) -> int:
-    host, profile = _load(args)
+    host = load_host(args.host)
+    profile = load_profile(args.profile, n=host.n)
     view = _AgentView(_CreatedState(host, profile), args.agent)
     rule = "exact" if args.exact else "greedy"
     strategy, cost = view.best(rule, args.budget)
@@ -303,10 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
-    def add_gen_family(parsers, name, generate, flags={}, **kw) -> None:
+    def add_gen_family(parsers, name, generate, *flags, **kw) -> None:
         p = command(parsers, name, _cmd_gen, **kw)
         p.set_defaults(family=name, generate=generate)
-        for flag_name, spec in flags.items():
+        for flag_name, spec in flags:
             p.add_argument(flag_name, **spec)
         p.add_argument("-o", "--output", required=True, help="host file (.tg)")
         if name != "random":
@@ -317,13 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
     count = {"type": int, "required": True}
     gen = sub.add_parser("gen", help="generate instance families")
     gsub = gen.add_subparsers(dest="family", required=True)
-    add_gen_family(gsub, "hypercube", lambda a: (*gen_hypercube(a.dim), {}), {"--dim": count})
-    add_gen_family(gsub, "t2family", lambda a: (*gen_t2_family(a.n), {}), {"--n": count})
+    add_gen_family(gsub, "hypercube", lambda a: (*gen_hypercube(a.dim), {}), ("--dim", count))
+    add_gen_family(gsub, "t2family", lambda a: (*gen_t2_family(a.n), {}), ("--n", count))
     add_gen_family(gsub, "brcycle", _brcycle)
     add_gen_family(gsub, "random", lambda a: (gen_random_host(a.n, a.t, a.seed), None, {}),
-                   {"--n": count, "--t": count, "--seed": {"type": int, "default": 0}})
+                   ("--n", count), ("--t", count), ("--seed", {"type": int, "default": 0}))
+    setcover = ("--setcover", {"required": True})
     for family, reduce in (("reduce-br", gen_reduction_br), ("reduce-ne", gen_reduction_ne)):
-        setcover = {"--setcover": {"required": True}}
         add_gen_family(gsub, family, _reduction(reduce), setcover)
         add_gen_family(sub, family, _reduction(reduce), setcover, help=f"alias of gen {family}")
 
