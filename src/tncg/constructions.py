@@ -13,7 +13,7 @@ import random
 from itertools import combinations
 from typing import Callable, Iterable, Optional
 
-from .core import TemporalGraph, _check_int, _mono_spanning_tree, norm_pair
+from .core import TemporalGraph, _check_int, _is_int, _mono_spanning_tree, norm_pair
 from .game import DirectedTemporalGraph, StrategyProfile, empty_profile
 
 
@@ -39,6 +39,9 @@ class SetCoverInstance:
         for i, s in enumerate(built, start=1):
             if not s:
                 raise ValueError(f"set {i} is empty")
+            for x in s:
+                if not _is_int(x):
+                    raise ValueError(f"set {i} has non-integer element {x!r}")
             if not s <= set(range(1, k + 1)):
                 raise ValueError(f"set {i} contains elements outside 1..{k}")
         self.k = k
@@ -47,6 +50,9 @@ class SetCoverInstance:
             self.cover = None
         else:
             c = frozenset(cover)
+            for j in c:
+                if not _is_int(j):
+                    raise ValueError(f"cover index {j!r} is not an integer")
             if not c <= set(range(1, len(built) + 1)):
                 raise ValueError("cover indices must lie in 1..m")
             if not self.is_cover(c):

@@ -7,16 +7,19 @@ edges of the same label may be used in sequence.
 
 Node sets are manipulated as bitmasks (Python ints) in the hot paths; the
 public API exchanges ordinary sets.  Reach sets come from `_reach_sweep`: one
-descending pass over the label classes serves any number of sources.  A class
-is a triple (label, pairs, matching); `matching` (`_is_matching`) says that
-no two pairs share an endpoint, so one pass over the class settles it.  A
-sweep can leave one node out (G - skip) with no copy of the classes: skip's
-mask is reset to 0 after each matching, and other classes, where a path of
-one label could pass through skip, are merged without skip's pairs.
+pass over a sweep-event list, in descending label order, serves any number
+of sources.  A label class whose pairs share no endpoint (a matching, see
+`_is_matching`) is one event (-label, u, w) per pair, each settled by one
+union; any other class is one event (-label, -1, pairs), merged to a fixed
+point.  A sweep can leave one node out (G - skip) with no copy of the list:
+skip's mask is reset to 0 after each matching pair, and other classes, where
+a path of one label could pass through skip, are merged without skip's
+pairs.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -69,10 +72,14 @@ class TemporalGraph:
         _check_int("node count", n, 1)
         norm: dict[Pair, int] = {}
         for (u, v), label in edges.items():
+            # plain int nodes (no bool): two `type` tests cost ~12% of a dense
+            # build, `_is_int` on each node ~40%, and so it is inlined for the
+            # label too
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer node")
             p = norm_pair(u, v)
             if not (0 <= p[0] and p[1] < n):
                 raise ValueError(f"edge {p} out of range for n={n}")
-            # `_is_int` inlined: a call per edge costs ~45% of a dense build
             if not isinstance(label, int) or isinstance(label, bool) or label < 1:
                 raise ValueError(f"edge {p} has invalid label {label!r}")
             if p in norm and norm[p] != label:
@@ -165,7 +172,8 @@ class TemporalGraph:
         """
         if not (_is_int(u) and 0 <= u < self.n):
             raise ValueError(f"node {u!r} out of range")
-        return _reach_sweep(self.n, self._label_classes(), {start_label: [u]})[u]
+        events = _sweep_events(self._label_classes())
+        return _reach_sweep(self.n, events, [(-start_label, u)])[u]
 
     def reach(self, u: int) -> set[int]:
         return mask_to_set(self.reach_mask(u))
@@ -189,8 +197,9 @@ def set_to_mask(nodes: Iterable[int]) -> int:
 
 def _is_matching(pairs: Iterable[Pair]) -> bool:
     """True iff no two pairs share an endpoint.  Merging such a class takes
-    one pass, so `_reach_sweep` skips `_merge_class` for it and
-    `optimum._merge` tracks no components for it."""
+    one pass, so its pairs are single sweep events, for which `_reach_sweep`
+    needs no `_merge_class`, and `optimum._merge` tracks no components for
+    it."""
     seen: set[int] = set()
     for u, v in pairs:
         if u in seen or v in seen:
@@ -216,49 +225,83 @@ def _merge_class(reached: list[int], pairs: Iterable[Pair]) -> None:
                 changed = True
 
 
+def _class_events(label: int, pairs: Iterable[Pair], matching: bool) -> list[tuple]:
+    """The sweep events of one label class: (-label, u, w) per pair of a
+    matching, else one (-label, -1, pairs) for the whole class."""
+    if matching:
+        return [(-label, u, w) for u, w in pairs]
+    return [(-label, -1, tuple(pairs))]
+
+
+def _sweep_events(classes: list[tuple[int, list[Pair], bool]]) -> list[tuple]:
+    """The sweep-event list of (label, pairs, matching) classes in ascending
+    label order, as `_label_classes` gives them."""
+    return [e for c in reversed(classes) for e in _class_events(*c)]
+
+
+@lru_cache(maxsize=16)
+def _singletons(n: int) -> tuple[int, ...]:
+    """Each node's own mask, 1 << x for x in range(n), then a spare 0.  A
+    copy starts every sweep; at n = 30 it costs a twentieth of building
+    the list anew."""
+    return (*(1 << x for x in range(n)), 0)
+
+
 def _reach_sweep(
     n: int,
-    classes: list[tuple[int, Iterable[Pair], bool]],
-    starts: Mapping[int, Iterable[int]],
+    events: list[tuple],
+    starts: Iterable[tuple[int, int]],
     skip: int | None = None,
 ) -> list[int]:
-    """Reach masks of many sources in one descending pass over label classes.
+    """Reach masks of many sources in one pass over a sweep-event list.
 
-    classes: (label, pairs, matching), ascending label; a matching is merged
-    in one pass, any other class by `_merge_class`.  starts maps a start
-    label s to the nodes (each listed once) whose reach over labels >= s is
-    wanted; the result is indexed by node, 0 where not asked.  A path from x
-    walks inside x's component C in the lowest class l it uses, then on
-    higher labels, so merging class l gives R_l(x) = union of R_{l+1}(y) over
-    y in C (Wu et al., "Path problems in temporal graphs", VLDB 2014).
+    events: (-label, u, w) per pair of a matching class, (-label, -1, pairs)
+    per other class, labels descending; a matching pair is merged by one
+    union, any other class by `_merge_class`.  starts: (-s, x) pairs sorted
+    ascending, one per node x (each listed once) whose reach over labels
+    >= s is wanted; x's mask is read off before the first event below s.
+    The result is indexed by node, 0 where not asked.  A path from x walks
+    inside x's component C in the lowest class l it uses, then on higher
+    labels, so merging class l gives R_l(x) = union of R_{l+1}(y) over y in
+    C (Wu et al., "Path problems in temporal graphs", VLDB 2014).
 
     With skip the sweep runs on G - skip: skip's mask starts at 0 and is
-    reset to 0 after each matching (spare slot n takes that store without
-    skip).  Sound only for matchings, where skip's pair is the only pair at
-    either endpoint, so its partner gains nothing; in any other class skip
-    could pass a mask on, so that class is merged without skip's pairs.
+    reset to 0 after each matching pair (spare slot n takes that store
+    without skip).  Sound only for matchings, where skip's pair is the only
+    pair at either endpoint, so its partner gains nothing; in any other
+    class skip could pass a mask on, so that class is merged without skip's
+    pairs.
     """
     global _REACH_EVALS
     _REACH_EVALS += 1
-    reached = [1 << x for x in range(n)] + [0]
+    reached = list(_singletons(n))
     sink = n if skip is None else skip
     reached[sink] = 0
     out = [0] * n
-    i = len(classes) - 1
-    for s in sorted(starts, reverse=True):
-        while i >= 0:
-            label, pairs, matching = classes[i]
-            if label < s:
-                break
-            if matching:
-                for u, v in pairs:
-                    reached[u] = reached[v] = reached[u] | reached[v]
-                reached[sink] = 0
-            else:
-                _merge_class(reached, pairs if skip is None else [p for p in pairs if skip not in p])
-            i -= 1
-        for x in starts[s]:
+    pending = iter(starts)
+    for top, x in pending:
+        break
+    else:
+        return out
+    for neg, u, w in events:
+        if neg > top:
+            # x's start label lies above this event's: read x and the
+            # starts after it up to the first at or below the event's label
             out[x] = reached[x]
+            for top, x in pending:
+                if neg <= top:
+                    break
+                out[x] = reached[x]
+            else:
+                return out
+        if u >= 0:
+            reached[u] = reached[w] = reached[u] | reached[w]
+            reached[sink] = 0
+        else:
+            _merge_class(reached, w if skip is None else [p for p in w if skip not in p])
+    out[x] = reached[x]
+    for _, x in pending:
+        out[x] = reached[x]
     return out
 
 
@@ -312,7 +355,8 @@ def is_temporal_path(g: TemporalGraph, nodes: list[int]) -> bool:
 def is_temporally_connected(g: TemporalGraph) -> bool:
     """True iff every node temporally reaches every other node."""
     full = (1 << g.n) - 1
-    return all(m == full for m in _reach_sweep(g.n, g._label_classes(), {1: range(g.n)}))
+    starts = [(-1, x) for x in range(g.n)]
+    return all(m == full for m in _reach_sweep(g.n, _sweep_events(g._label_classes()), starts))
 
 
 def is_temporal_spanner(host: TemporalGraph, sub: TemporalGraph) -> bool:

@@ -15,10 +15,17 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .core import TemporalGraph, _check_int, _is_int, _is_matching, _reach_sweep
+from .core import (
+    TemporalGraph,
+    _check_int,
+    _class_events,
+    _is_int,
+    _is_matching,
+    _reach_sweep,
+    _sweep_events,
+)
 
 
 @dataclass(frozen=True, order=True)
@@ -174,34 +181,35 @@ def created_graph(host: TemporalGraph, profile: StrategyProfile) -> DirectedTemp
 
 
 class _CreatedState:
-    """A profile's created graph kept for repeated evaluation: `classes`
-    holds its pairs grouped by host label as (label, pairs, matching),
-    ascending label, each pair once even when both arcs are bought.  This is
-    the list `core._reach_sweep` reads, for every agent's view too, since the
-    sweep leaves the viewing agent out itself.
+    """A profile's created graph kept for repeated evaluation: `events` is
+    its sweep-event list (see `core`), labels descending, each pair once
+    even when both arcs are bought.  This is the list `core._reach_sweep`
+    reads, for every agent's view too, since the sweep leaves the viewing
+    agent out itself.
 
     A move patches only the moving agent's changed arcs: a toggled pair's
-    label is bisected in the list, and that one entry is inserted, patched
-    with a fresh matching flag, or deleted with its last pair.  buyers[x]
-    holds the agents that buy an arc to x.  Each agent's endpoints grouped
-    by start label are cached on first use.
+    label slice is found by bisection and rewritten from its pairs with
+    that pair added or removed, the label's matching flag decided afresh.
+    buyers[x] holds the agents that buy an arc to x.  Each agent's starts,
+    (-label(v, w), w) sorted ascending, are cached on first use.
     """
 
-    __slots__ = ("n", "rows", "strategies", "buyers", "classes", "_starts")
+    __slots__ = ("n", "rows", "strategies", "buyers", "events", "_starts")
 
     def __init__(self, host: TemporalGraph, profile: StrategyProfile):
         n = self.n = host.n
         self.rows = host._label_rows()
         self.strategies = list(profile.strategies)
         self.buyers: list[set[int]] = [set() for _ in range(n)]
-        self._starts: list[dict[int, list[int]] | None] = [None] * n
+        self._starts: list[list[tuple[int, int]] | None] = [None] * n
         grouped: dict[int, dict[tuple[int, int], None]] = {}
         for v, w, label in _labelled_arcs(host, profile):
             self.buyers[w].add(v)
             if w not in self.buyers[v]:
                 grouped.setdefault(label, {})[(v, w) if v < w else (w, v)] = None
         # flags in one pass here: a rescan per toggle is quadratic in class size
-        self.classes = [(lab, ps, _is_matching(ps)) for lab, ps in sorted(grouped.items())]
+        self.events = _sweep_events(
+            [(lab, ps, _is_matching(ps)) for lab, ps in sorted(grouped.items())])
 
     def move(self, v: int, strategy: frozenset[int]) -> None:
         old = self.strategies[v]
@@ -217,31 +225,32 @@ class _CreatedState:
         if w in self.buyers[v]:
             return
         label = self.rows[v][w]
-        classes = self.classes
-        i = bisect_left(classes, label, key=itemgetter(0))
-        if i == len(classes) or classes[i][0] != label:
-            classes.insert(i, (label, {}, True))
-        pairs = classes[i][1]
+        events = self.events
+        lo = bisect_left(events, (-label,))
+        hi = bisect_left(events, (1 - label,), lo)
+        if hi - lo == 1 and events[lo][1] < 0:
+            pairs = list(events[lo][2])
+        else:
+            pairs = [(a, b) for _, a, b in events[lo:hi]]
         pair = (v, w) if v < w else (w, v)
         if add:
-            pairs[pair] = None
+            pairs.append(pair)
         else:
-            del pairs[pair]
-        if pairs:
-            classes[i] = (label, pairs, _is_matching(pairs))
-        else:
-            del classes[i]
+            pairs.remove(pair)
+        events[lo:hi] = _class_events(label, pairs, _is_matching(pairs))
 
-    def starts(self, v: int) -> dict[int, list[int]]:
-        """v's endpoints grouped by the label of their pair with v."""
+    def starts(self, v: int) -> list[tuple[int, int]]:
+        """(-label(v, w), w) for each endpoint w, ascending: the sweep reads
+        w's cover at the label of its pair with v."""
         got = self._starts[v]
         if got is None:
-            got = {}
+            got = []
             for w, label in enumerate(self.rows[v]):
                 if label:
-                    got.setdefault(label, []).append(w)
+                    got.append((-label, w))
                 elif w != v:
                     raise ValueError(f"host pair ({v}, {w}) missing; host must be complete")
+            got.sort()
             self._starts[v] = got
         return got
 
@@ -254,7 +263,7 @@ def agent_cost(host: TemporalGraph, profile: StrategyProfile, v: int) -> CostVec
 def _agent_costs(state: _CreatedState) -> list[CostVector]:
     """Every agent's cost, from one reach sweep over the created graph."""
     n = state.n
-    reached = _reach_sweep(n, state.classes, {1: range(n)})
+    reached = _reach_sweep(n, state.events, [(-1, x) for x in range(n)])
     return [CostVector(n - reached[v].bit_count(), len(state.strategies[v])) for v in range(n)]
 
 

@@ -11,18 +11,18 @@ does not depend on v's own strategy.  v's reach under strategy S is then
 {v} | in-neighbor covers | union of cover[w] for w in S, so evaluating any
 strategy is a few bitmask unions and exact best response is a minimum set
 cover over fixed candidate masks.  All n-1 covers come from one reach sweep
-over the created graph's label classes that leaves v out (`skip=v`), each
+over the created graph's sweep events that leaves v out (`skip=v`), each
 endpoint w read off at its own start label({v, w}); greedy scores each add
-by one popcount and looks at drops only when no add improves.
+by one popcount if v misses someone, and only drops if v reaches everyone.
 
-A view reads a `game._CreatedState`: its one label-class list, kept across a
-whole dynamics run and shared as is by every view of one check, with labels
-from the host's label table, so no graph is built, no arc regrouped and no
-class list copied per view.  The
-view is the one place that searches for an agent's best strategy, and
-`best` the one place that maps a rule to its search: dynamics, `tncg br`
-and the equilibrium checks call it, and the structural audit reads
-necessary sets off its covers.  A check builds no view for an agent it can
+A view reads a `game._CreatedState`: its one sweep-event list, kept across a
+whole dynamics run and shared as is by every view of one check, and v's
+start list, sorted once per state, with labels from the host's label table,
+so no graph is built, no arc regrouped and no list copied or sorted per
+view.  The view is the one place that searches for an agent's best
+strategy, and `best` the one place that maps a rule to its search:
+dynamics, `tncg br` and the equilibrium checks call it, and the structural
+audit reads necessary sets off its covers.  A check builds no view for an agent it can
 settle from the created graph alone (`equilibrium._settled`); dynamics
 activates every agent through a view.
 """
@@ -48,7 +48,7 @@ class _AgentView:
     def __init__(self, state: _CreatedState, v: int):
         n = state.n
         _check_agent(n, v)
-        covers = _reach_sweep(n, state.classes, state.starts(v), skip=v)
+        covers = _reach_sweep(n, state.events, state.starts(v), skip=v)
         self.n = n
         self.v = v
         self.current = state.strategies[v]
@@ -64,20 +64,23 @@ class _AgentView:
         self.cur_mask = cur
         self.cur_cost = CostVector(n - cur.bit_count(), len(self.current))
 
-    def dropped(self) -> dict[int, int]:
-        """Reach without each current arc (v, w), keyed by w: base | in_mask
-        with the prefix and suffix unions of the other current covers."""
+    def _drops(self):
+        """(w, reach without arc (v, w)) per current endpoint w, in the
+        set's own order: base | in_mask with the prefix and suffix unions
+        of the other current covers."""
         covers = self.covers
-        own = sorted(self.current)
+        own = tuple(self.current)
         suffix = [0] * (len(own) + 1)
         for i in range(len(own) - 1, -1, -1):
             suffix[i] = suffix[i + 1] | covers[own[i]]
-        out = {}
         prefix = self.base | self.in_mask
         for i, w in enumerate(own):
-            out[w] = prefix | suffix[i + 1]
+            yield w, prefix | suffix[i + 1]
             prefix |= covers[w]
-        return out
+
+    def dropped(self) -> dict[int, int]:
+        """Reach without each current arc (v, w), keyed by w ascending."""
+        return dict(sorted(self._drops()))
 
     def greedy(self) -> tuple[frozenset[int], CostVector]:
         """Best single-arc toggle and its cost; (current, cur_cost) if none improves.
@@ -85,23 +88,26 @@ class _AgentView:
         An add costs one more arc, so it improves only by reaching more
         nodes, and then it beats every drop, which cannot reach more.  The
         add reaching most wins, ties to the smallest w (the lexicographically
-        smallest set).  Only if no add improves is `dropped` built: a drop
-        improves when it keeps cur_mask, and the largest such w gives the
+        smallest set).  On a complete host an agent that misses some z has
+        an improving add, since covers[z] holds z, and one that reaches
+        everyone has none, so only the latter look at drops: a drop improves
+        when it keeps everyone reached, and the largest such w gives the
         lexicographically smallest set.
         """
         current, cur = self.current, self.cur_mask
-        # covers[v] is 0, and the cover of a current endpoint lies within
-        # cur_mask, so neither can win an add
-        best_w, best_pop = -1, cur.bit_count()
-        for w, cover in enumerate(self.covers):
-            pop = (cur | cover).bit_count()
-            if pop > best_pop:
-                best_w, best_pop = w, pop
-        if best_w >= 0:
+        full = (1 << self.n) - 1
+        if cur != full:
+            # covers[v] is 0, and the cover of a current endpoint lies within
+            # cur_mask, so neither can win an add
+            best_w, best_pop = -1, cur.bit_count()
+            for w, cover in enumerate(self.covers):
+                pop = (cur | cover).bit_count()
+                if pop > best_pop:
+                    best_w, best_pop = w, pop
             return current | {best_w}, CostVector(self.n - best_pop, len(current) + 1)
-        for w, mask in sorted(self.dropped().items(), reverse=True):
-            if mask == cur:
-                return current - {w}, CostVector(self.cur_cost.unreached, len(current) - 1)
+        drop = max((w for w, mask in self._drops() if mask == full), default=-1)
+        if drop >= 0:
+            return current - {drop}, CostVector(0, len(current) - 1)
         return current, self.cur_cost
 
     def best(self, rule: str, budget_cap: int) -> tuple[frozenset[int], CostVector]:

@@ -110,6 +110,38 @@ def brute_label_classes(host, profile) -> dict:
     return {lab: sorted(pairs) for lab, pairs in classes.items()}
 
 
+def sweep_event_classes(events) -> dict:
+    """label -> (frozenset of pairs, matching) read off the package's
+    sweep-event list, checked against its definition on the way: each label
+    is one run of events, labels descend from run to run, a class whose
+    pairs share no endpoint is one (-label, u, w) event per pair and any
+    other class one (-label, -1, pairs) event.  Pairs compare as sets, since
+    the order within a label is free."""
+    runs = {}
+    last = None
+    for neg, u, w in events:
+        label = -neg
+        if label != last:
+            assert last is None or label < last, f"label {label} after {last}"
+            runs[label] = []
+            last = label
+        runs[label].append((u, w))
+    out = {}
+    for label, run in runs.items():
+        whole = run[0][0] < 0
+        if whole:
+            assert len(run) == 1, f"label {label}: a whole class is one event"
+            pairs = list(run[0][1])
+        else:
+            assert all(u >= 0 for u, _ in run), f"label {label}: mixed events"
+            pairs = run
+        assert len(set(pairs)) == len(pairs), f"label {label}: a pair twice"
+        matching = len({x for p in pairs for x in p}) == 2 * len(pairs)
+        assert matching != whole, f"label {label}: matching split"
+        out[label] = (frozenset(pairs), matching)
+    return out
+
+
 def candidate_greedy(view):
     """Reference greedy search over an agent view's covers: build and score
     every toggled endpoint set; ties go to the lexicographically smallest

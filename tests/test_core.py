@@ -28,12 +28,12 @@ from tncg import (
     run_experiment,
     set_to_mask,
 )
-from tncg.core import _reach_sweep, reach_evaluations, reset_reach_evaluations
+from tncg.core import _reach_sweep, _sweep_events, reach_evaluations, reset_reach_evaluations
 from tncg.game import _CreatedState
 from tncg.optimum import _EdgeMasks, _minimal_keep
 from tncg.responses import _AgentView
 
-from oracles import brute_connected, brute_reach
+from oracles import brute_connected, brute_reach, sweep_event_classes
 
 
 def path_graph(labels):
@@ -225,13 +225,19 @@ def test_reach_from_start_label_matches_oracle(case):
 
 def assert_sweep_skips_each_node(g):
     """A sweep that leaves x out reaches, from every other y, what y
-    reaches in g with x's edges removed."""
+    reaches in g with x's edges removed over labels >= s_y; one sweep
+    serves start labels s_y from 1 to lifetime + 1."""
+    events = _sweep_events(g._label_classes())
+    top = g.lifetime + 1
     for x in range(g.n):
-        rest = TemporalGraph(g.n, {p: lab for p, lab in g.edges.items() if x not in p})
-        others = [y for y in range(g.n) if y != x]
-        got = _reach_sweep(g.n, g._label_classes(), {1: others}, skip=x)
-        for y in others:
-            assert mask_to_set(got[y]) == brute_reach(rest, y), (g.edges, x, y)
+        rest = {p: lab for p, lab in g.edges.items() if x not in p}
+        starts = sorted((-(1 + (x + y) % top), y) for y in range(g.n) if y != x)
+        got = _reach_sweep(g.n, events, starts, skip=x)
+        uppers = {}
+        for neg, y in starts:
+            if neg not in uppers:
+                uppers[neg] = TemporalGraph(g.n, {p: lab for p, lab in rest.items() if lab >= -neg})
+            assert mask_to_set(got[y]) == brute_reach(uppers[neg], y), (g.edges, x, y, -neg)
 
 
 def test_reach_and_edge_masks_on_long_label_classes():
@@ -293,8 +299,9 @@ def test_reach_and_edge_masks_on_matching_classes():
 
 
 def test_created_state_moves_on_matching_classes_match_fresh_state():
-    # the kept class list, patched move by move, against a state built
-    # from the profile at once: the same classes and flags, the same covers
+    # the kept event list, patched move by move, against a state built
+    # from the profile at once: label by label the same pairs and matching
+    # split, the same covers
     rng = random.Random(1208)
     flagged = unflagged = 0
     for trial in range(16):
@@ -313,8 +320,9 @@ def test_created_state_moves_on_matching_classes_match_fresh_state():
             if step % n:
                 continue
             fresh = _CreatedState(host, profile)
-            assert state.classes == fresh.classes
-            for _, pairs, matching in state.classes:
+            classes = sweep_event_classes(state.events)
+            assert classes == sweep_event_classes(fresh.events)
+            for pairs, matching in classes.values():
                 flagged += matching and len(pairs) >= 3
                 unflagged += not matching
             for x in range(n):
@@ -393,8 +401,15 @@ def test_integer_parameters_reject_bool_and_float_by_name(call, name, tmp_path):
     (lambda g: gen_random_directed(3, 2, 0, 0), r"^t must be >= 1, got 0$"),
     (lambda g: is_temporal_path(g, [0.0]), None),
     (lambda g: is_temporal_path(g, []), None),
+    (lambda g: TemporalGraph(3, {(True, 2): 1}), r"^edge \(True, 2\) has a non-integer node$"),
+    (lambda g: TemporalGraph(3, {(0, 2): 1, (0.0, 1): 2}), r"^edge \(0\.0, 1\) has a non-integer node$"),
+    (lambda g: SetCoverInstance(2, [[1.0, 2]]), r"^set 1 has non-integer element 1\.0$"),
+    (lambda g: SetCoverInstance(2, [[1, 2], [True]]), r"^set 2 has non-integer element True$"),
+    (lambda g: SetCoverInstance(2, [[1], [2]], cover=[1, 2.0]), r"^cover index 2\.0 is not an integer$"),
 ], ids=["empty_profile", "reach_mask-float", "reach_mask-str", "arc-label-float", "arc-label-str",
-        "arc-node-bool", "gen_random_directed-t", "path-float-node", "path-empty"])
+        "arc-node-bool", "gen_random_directed-t", "path-float-node", "path-empty",
+        "edge-node-bool", "edge-node-float", "set-element-float", "set-element-bool",
+        "cover-index-float"])
 def test_nodes_labels_and_paths_are_checked(call, error):
     # a float or bool node, a non-integer label, or a count below its range
     # ends in a ValueError; a list that is no path of g is not one

@@ -29,8 +29,10 @@ from oracles import (
     brute_agent_cost,
     brute_best_response,
     brute_label_classes,
+    brute_created_graph,
     brute_reach,
     candidate_greedy,
+    sweep_event_classes,
 )
 
 
@@ -63,6 +65,50 @@ def test_agent_view_matches_oracles(case):
         upper = TemporalGraph(host.n, {q: lab for q, lab in rest.items() if lab >= start})
         assert mask_to_set(view.covers[w]) == brute_reach(upper, w)
     assert view.cur_cost == brute_agent_cost(host, p, v)
+
+
+def test_agent_view_covers_match_oracle_along_moves():
+    # hosts with n = 8-12 and t = n^2/4: the created graph's label classes
+    # are mostly single pairs, some are two pairs that share an endpoint,
+    # and moves flip labels between matching and not, so the patched event
+    # list does the work; every agent's covers against walk reachability
+    # in G - v over labels >= label(v, w)
+    rng = random.Random(3011)
+    views = to_whole = to_matching = 0
+    for _ in range(8):
+        n = rng.randint(8, 12)
+        host = gen_random_host(n, n * n // 4, rng.randrange(10**6))
+        profile = gen_random_profile(host, 3 * n, rng.randrange(10**6))
+        state = _CreatedState(host, profile)
+        flags = {}
+        for step in range(6 * n):
+            v = rng.randrange(n)
+            others = [w for w in range(n) if w != v]
+            if rng.random() < 0.25:
+                new = rng.sample(others, rng.randint(0, 4))
+            else:
+                new = profile[v] ^ {rng.choice(others)}
+            profile = profile.with_strategy(v, new)
+            state.move(v, profile[v])
+            now = {-neg: u >= 0 for neg, u, _ in state.events}
+            for label, matching in now.items():
+                if flags.get(label, matching) != matching:
+                    to_whole += not matching
+                    to_matching += matching
+            flags = now
+            if step % 4:
+                continue
+            created = brute_created_graph(host, profile).edges
+            for x in range(n):
+                view = _AgentView(state, x)
+                rest = {p: lab for p, lab in created.items() if x not in p}
+                for w in range(n):
+                    if w != x:
+                        start = host.label(x, w)
+                        upper = TemporalGraph(n, {p: lab for p, lab in rest.items() if lab >= start})
+                        assert mask_to_set(view.covers[w]) == brute_reach(upper, w), (x, w)
+                views += 1
+    assert views >= 1000 and to_whole >= 30 and to_matching >= 30
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
@@ -227,11 +273,9 @@ def test_created_state_patches_match_fresh_grouping(case):
         profile = profile.with_strategy(v, new(profile))
         state.move(v, profile[v])
         fresh = _CreatedState(host, profile)
-        classes = state.classes
-        assert [lab for lab, _, _ in classes] == sorted({lab for lab, _, _ in classes})
-        assert {lab: sorted(ps) for lab, ps, _ in classes} == brute_label_classes(host, profile)
-        for _, ps, matching in classes:
-            assert matching == (len({x for p in ps for x in p}) == 2 * len(ps))
+        classes = sweep_event_classes(state.events)
+        assert classes == sweep_event_classes(fresh.events)
+        assert {lab: sorted(ps) for lab, (ps, _) in classes.items()} == brute_label_classes(host, profile)
         for x in range(n):
             a, b = _AgentView(state, x), _AgentView(fresh, x)
             assert (a.covers, a.in_mask, a.cur_cost) == (b.covers, b.in_mask, b.cur_cost)
