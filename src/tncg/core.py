@@ -72,9 +72,9 @@ class TemporalGraph:
         _check_int("node count", n, 1)
         norm: dict[Pair, int] = {}
         for (u, v), label in edges.items():
-            # plain int nodes (no bool): two `type` tests cost ~12% of a dense
-            # build, `_is_int` on each node ~40%, and so it is inlined for the
-            # label too
+            # nodes are plain ints, so no bool: two `type` tests cost ~12% of
+            # a dense build where isinstance tests cost ~40%, which is also
+            # why the label test inlines `_is_int`
             if type(u) is not int or type(v) is not int:
                 raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer node")
             p = norm_pair(u, v)

@@ -226,6 +226,7 @@ class _CreatedState:
             return
         label = self.rows[v][w]
         events = self.events
+        # (-label,) sorts just before the label's events, (1 - label,) just after
         lo = bisect_left(events, (-label,))
         hi = bisect_left(events, (1 - label,), lo)
         if hi - lo == 1 and events[lo][1] < 0:
