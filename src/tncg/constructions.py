@@ -357,6 +357,7 @@ def gen_random_host(n: int, t: int, seed: int) -> TemporalGraph:
     consecutive; deterministic in seed."""
     _check_int("n", n)
     _check_int("t", t)
+    _check_int("seed", seed)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     max_t = n * (n - 1) // 2
@@ -376,6 +377,7 @@ def _sample_arcs(n: int, arc_count: int, rng: random.Random) -> list[tuple[int, 
 
 def gen_random_profile(host: TemporalGraph, arc_count: int, seed: int) -> StrategyProfile:
     """Uniformly sampled distinct arcs; experiment plumbing."""
+    _check_int("seed", seed)
     strategies: list[set[int]] = [set() for _ in range(host.n)]
     for (u, v) in _sample_arcs(host.n, arc_count, random.Random(seed)):
         strategies[u].add(v)
@@ -387,6 +389,7 @@ def gen_random_directed(n: int, arc_count: int, t: int, seed: int):
     _check_int("n", n, 1)
     _check_int("arc_count", arc_count)
     _check_int("t", t, 1)
+    _check_int("seed", seed)
     rng = random.Random(seed)
     arcs = {}
     for (u, v) in _sample_arcs(n, arc_count, rng):
@@ -401,6 +404,7 @@ def gen_random_setcover(
     sets resampled until non-empty and proper (a set equal to the whole
     universe collapses the equilibrium reduction, see gen_reduction_ne), then
     uncovered elements are patched in without filling any set."""
+    _check_int("seed", seed)
     rng = random.Random(seed)
     k = rng.randint(max(k_min, 2), k_max)
     m = rng.randint(max(m_min, 2), m_max)

@@ -172,6 +172,7 @@ class TemporalGraph:
         """
         if not (_is_int(u) and 0 <= u < self.n):
             raise ValueError(f"node {u!r} out of range")
+        _check_int("start_label", start_label)
         events = _sweep_events(self._label_classes())
         return _reach_sweep(self.n, events, [(-start_label, u)])[u]
 

@@ -87,12 +87,14 @@ def run_dynamics(
     exhausting one ends the run with the step-cap outcome, and an empty one
     raises ValueError, as it activates nobody.  max_steps caps
     applied moves (default 10 * n^2); a cap that is not an integer >= 1
-    raises ValueError, as does a budget_cap that is not an integer >= 0.
+    raises ValueError, as do a seed that is not an integer and a budget_cap
+    that is not an integer >= 0.
     One created-graph state, patched per move, serves the whole run.
     """
     n = host.n
     if max_steps is not None:
         _check_int("max_steps", max_steps, 1)
+    _check_int("seed", seed)
     _check_budget(budget_cap)
     if rule not in ("greedy", "exact"):
         raise ValueError(f"unknown rule {rule!r}")

@@ -161,8 +161,6 @@ def parse_setcover(text: str, path: str = "<string>") -> SetCoverInstance:
     for idx in range(m):
         lineno, line = body[idx]
         elems = _ints(line.split(), path, lineno)
-        if not elems:
-            raise FormatError(path, lineno, "empty set")
         for e in elems:
             if not (1 <= e <= k):
                 raise FormatError(path, lineno, f"element {e} outside 1..{k}")

@@ -3,7 +3,6 @@ price-of-anarchy ratio."""
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 
 from .core import TemporalGraph, _mono_spanning_tree, is_temporal_spanner
@@ -198,9 +197,12 @@ def minimum_spanner(
     retained edges, and inside a class that is not a matching comp[x] is
     x's component over the class's retained edges.  An include merges two
     components in place.  An include that adds nothing is not branched:
-    its endpoints already share a component, or in a matching a mask.  The
-    search keeps nothing else: its memory is the copies of reached and comp
-    along the current path and the reach table, whatever budget_cap is.
+    its endpoints already share a component, or in a matching a mask.  A
+    stack holds one frame per pending child along the current path, an
+    include below its exclude sibling: it is popped after the sibling's
+    subtree, and dropped if the incumbent is no larger than it by then.
+    The search keeps nothing else: its memory is the stack, with its
+    copies of reached and comp, and the reach table, whatever budget_cap is.
 
     Prunes.  At a boundary: by the broadcast bound below, n - min_s |H_s|
     more edges are needed; every source must still reach every node over
@@ -266,51 +268,60 @@ def minimum_spanner(
         return TemporalGraph(n, {p: label for p in tree}), n - 1
 
     keep = _minimal_keep(masks)
-    best = [keep, keep.bit_count()]
+    best_inc, best = keep, keep.bit_count()
     root = max(n, 2 * n - 4 - rest[0])
-    if best[1] == root:
+    if best == root:
         return masks.graph(keep), root
     into = [[tuple(y for y in range(n) if reach[y] >> z & 1) for z in range(n)] for reach in later]
     singles = [1 << x for x in range(n)]
-    nodes = [0]
-
-    def rec(
-        c: int, j: int, inc: int, count: int, reached: list[int], comp: list[int] | None, d: int
-    ):
-        # decide edge j of class c; j == 0 is the boundary before class c,
-        # c == k the end; comp is None in a matching; d is the D term of
-        # the kept edges of the classes before c
-        nodes[0] += 1
-        if nodes[0] > budget_cap:
+    nodes = 0
+    # a frame decides edge j of class c; j == 0 is the boundary before class
+    # c, c == k the end; comp is None in a matching; d is the D term of the
+    # kept edges of the classes before c
+    stack = [(0, 0, 0, 0, singles, None, 0)]
+    while stack:
+        c, j, inc, count, reached, comp, d = stack.pop()
+        if count >= best:
+            continue
+        nodes += 1
+        if nodes > budget_cap:
             raise SearchSpaceExceeded(
                 f"spanner search exceeded budget of {budget_cap} nodes; "
-                f"optimum in [{root}, {best[1]}]",
-                lower=root,
-                upper=best[1],
+                f"optimum in [{root}, {best}]",
+                lower=root, upper=best,
             )
         if j == 0:
             deficient = n - reached.count(full)
             if not deficient:
-                best[0] = inc
-                best[1] = count
-                return
+                best_inc, best = inc, count
+                continue
             if c == k:
-                return
+                continue
             # the broadcast bound: a source missing from `need` masks needs
             # `need` more edges; only a deficient mask misses a source
-            need = best[1] - count
+            need = best - count
             if deficient >= need and _misses(reached, need):
-                return
+                continue
             if not _reaches_all(into[c], reached, full):
-                return
-            if max(n, 2 * n - 4 - d - rest[c]) >= best[1]:
-                return
+                continue
+            if max(n, 2 * n - 4 - d - rest[c]) >= best:
+                continue
             comp = None if classes[c][2] else singles
         es = classes[c][1]
         b, u, v = es[j]
         c2, j2 = (c, j + 1) if j + 1 < len(es) else (c + 1, 0)
+        if count + 1 < best:
+            if comp is None:
+                if reached[u] != reached[v]:
+                    r = reached[:]
+                    r[u] = r[v] = reached[u] | reached[v]
+                    stack.append((c2, j2, inc | b, count + 1, r, None, d))
+            elif not comp[u] >> v & 1:
+                r, cm = reached[:], comp[:]
+                _join(r, cm, u, v)
+                stack.append((c2, j2, inc | b, count + 1, r, cm, d if j2 else d + _excess(cm)))
         if comp is None:
-            rec(c2, j2, inc, count, reached, None, d)
+            stack.append((c2, j2, inc, count, reached, None, d))
         else:
             # the rest of this class kept, then every later class
             r, cm = reached[:], comp[:]
@@ -319,32 +330,10 @@ def minimum_spanner(
                     _join(r, cm, x, y)
             if _reaches_all(into[c + 1], r, full):
                 ex = _excess(cm)
-                if max(n, 2 * n - 4 - d - ex - rest[c + 1]) < best[1]:
+                if max(n, 2 * n - 4 - d - ex - rest[c + 1]) < best:
                     # on the class's last edge nothing was joined: cm is comp
-                    rec(c2, j2, inc, count, reached, comp, d if j2 else d + ex)
-        if count + 1 >= best[1]:
-            return
-        if comp is None:
-            if reached[u] != reached[v]:
-                r = reached[:]
-                r[u] = r[v] = reached[u] | reached[v]
-                rec(c2, j2, inc | b, count + 1, r, None, d)
-        elif not comp[u] >> v & 1:
-            r, cm = reached[:], comp[:]
-            _join(r, cm, u, v)
-            rec(c2, j2, inc | b, count + 1, r, cm, d if j2 else d + _excess(cm))
-
-    # rec nests one call per decided edge
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + len(masks.bit))
-    try:
-        rec(0, 0, 0, 0, singles, None, 0)
-    finally:
-        sys.setrecursionlimit(limit)
-        # rec refers to itself, so without this the reach table, large on
-        # big hosts, would wait for a full garbage collection
-        del rec
-    return masks.graph(best[0]), best[1]
+                    stack.append((c2, j2, inc, count, reached, comp, d if j2 else d + ex))
+    return masks.graph(best_inc), best
 
 
 def poa_ratio(

@@ -161,6 +161,7 @@ def one_error_line(err):
     ["dynamics", "--max-steps", "-5"],
     ["gen", "random", "--n", "0", "--t", "1"],
     ["gen", "random", "--n", "1", "--t", "1"],
+    ["dynamics", "--schedule", "bogus"],
 ])
 def test_out_of_range_arguments_are_exit_2(tmp_path, capsys, argv):
     host = tmp_path / "h.tg"
@@ -173,7 +174,8 @@ def test_out_of_range_arguments_are_exit_2(tmp_path, capsys, argv):
     code, out, err = run(capsys, *argv, *files)
     assert code == 2 and out == ""
     line = one_error_line(err)
-    assert {"br": "out of range", "dynamics": "max_steps", "gen": "need n >= 2"}[argv[0]] in line
+    assert {"--agent": "out of range", "--max-steps": "max_steps", "--schedule": "schedule must be",
+            "--t": "need n >= 2"}[argv[-2]] in line
     assert argv[0] != "gen" or list(tmp_path.iterdir()) == []
 
 
@@ -237,8 +239,8 @@ def test_budgeted_spanner_search_names_its_bracket(tmp_path, capsys):
 
 
 def test_deep_spanner_search_is_exit_2(tmp_path, capsys):
-    # 1,035 edges and no spanning class: the search nests deeper than the
-    # default recursion limit and must still end on its bracket
+    # 1,035 edges and no spanning class: the search runs 1,035 edge decisions
+    # deep and must still end on its bracket
     host = tmp_path / "h.tg"
     run(capsys, "gen", "random", "--n", "46", "--t", "1035", "--seed", "0", "-o", str(host))
     code, out, err = run(capsys, "spanner", "--host", str(host), "--exact", "--budget", "5000")
@@ -264,7 +266,15 @@ def test_experiment_subcommand(tmp_path, capsys):
     assert payload["summary"]["pass"] is True
     assert (tmp_path / "hypercube-poa.report.json").exists()
     assert (tmp_path / "hypercube-poa.instances.csv").exists()
-    code, out, _ = run(capsys, "experiment", "--scenario", "br-cycle",
+    # a config file gives the same report as the flags, and --set overrides it
+    config = tmp_path / "config.json"
+    config.write_text('{"scenario": "hypercube-poa", "dims": [3]}')
+    code, _, _ = run(capsys, "experiment", "--config", str(config), "--out-dir", str(tmp_path / "file"))
+    assert code == 0
+    name = "hypercube-poa.report.json"
+    assert (tmp_path / "file" / name).read_bytes() == (tmp_path / name).read_bytes()
+    config.write_text('{"scenario": "br-cycle", "seed": 1}')
+    code, _, _ = run(capsys, "experiment", "--config", str(config),
                        "--set", "seed=3", "--out-dir", str(tmp_path))
     assert code == 0
     report = json.loads((tmp_path / "br-cycle.report.json").read_text())
@@ -309,6 +319,7 @@ def test_experiment_subcommand(tmp_path, capsys):
         ("t2-existence-sweep", ["exhaustive_n=7"], "exhaustive_n"),
         ("hypercube-poa", ["dims=[3, 9]"], "dims"),
         ("freeze-relabel-audit", ["retries=0"], "retries"),
+        ("br-cycle", ["novalue"], "key=value"),
     ],
 )
 def test_experiment_rejects_bad_config(tmp_path, capsys, scenario, settings, key):

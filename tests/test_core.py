@@ -16,6 +16,8 @@ from tncg import (
     gen_hypercube,
     gen_random_directed,
     gen_random_host,
+    gen_random_profile,
+    gen_random_setcover,
     gen_t2_family,
     is_minimal_spanner,
     is_temporal_path,
@@ -379,12 +381,19 @@ def test_edges_are_read_only_and_pickle():
     (lambda h, p, out: SetCoverInstance(2.5, [[1]]), "universe size"),
     (lambda h, p, out: SetCoverInstance(True, [[1]]), "universe size"),
     (lambda h, p, out: gen_random_directed(3, 2.0, 1, 0), "arc_count"),
+    (lambda h, p, out: gen_random_host(6, 4, None), "seed"),
+    (lambda h, p, out: gen_random_profile(h, 4, "1"), "seed"),
+    (lambda h, p, out: gen_random_directed(3, 2, 1, 1.5), "seed"),
+    (lambda h, p, out: gen_random_setcover(4, 3, True), "seed"),
+    (lambda h, p, out: run_dynamics(h, p, schedule="random", seed=None), "seed"),
 ], ids=["minimum_spanner", "check_ne", "run_dynamics", "run_experiment", "TemporalGraph",
         "gen_random_host-t", "gen_random_host-n", "StrategyProfile-float", "StrategyProfile-bool",
         "gen_hypercube", "gen_t2_family", "SetCoverInstance-float", "SetCoverInstance-bool",
-        "gen_random_directed-arc_count"])
+        "gen_random_directed-arc_count", "gen_random_host-seed", "gen_random_profile-seed",
+        "gen_random_directed-seed", "gen_random_setcover-seed", "run_dynamics-seed"])
 def test_integer_parameters_reject_bool_and_float_by_name(call, name, tmp_path):
-    # a bool would stand for 0 or 1, and a float would be compared as a count
+    # a bool would stand for 0 or 1, and a float would be compared as a count;
+    # a seed of None would draw from the OS and make the run irreproducible
     host, profile = gen_hypercube(3)
     with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
         call(host, profile, tmp_path)
@@ -406,13 +415,23 @@ def test_integer_parameters_reject_bool_and_float_by_name(call, name, tmp_path):
     (lambda g: SetCoverInstance(2, [[1.0, 2]]), r"^set 1 has non-integer element 1\.0$"),
     (lambda g: SetCoverInstance(2, [[1, 2], [True]]), r"^set 2 has non-integer element True$"),
     (lambda g: SetCoverInstance(2, [[1], [2]], cover=[1, 2.0]), r"^cover index 2\.0 is not an integer$"),
+    (lambda g: g.reach_mask(0, start_label="2"), r"^start_label must be an integer, got '2'$"),
+    (lambda g: g.reach_mask(0, start_label=None), r"^start_label must be an integer, got None$"),
+    (lambda g: g.reach_mask(0, start_label=True), r"^start_label must be an integer, got True$"),
+    (lambda g: g.reach_mask(0, start_label=1.5), r"^start_label must be an integer, got 1\.5$"),
+    (lambda g: TemporalGraph(3, {(0, 1): 1, (1, 0): 2}), r"^edge \(0, 1\) given conflicting labels$"),
+    (lambda g: is_temporal_spanner(g, TemporalGraph(2, {(0, 1): 1})),
+     r"^node count mismatch: sub has 2, host has 3$"),
+    (lambda g: DirectedTemporalGraph(3, {(1, 1): 1}), r"^self-loop arc at 1$"),
 ], ids=["empty_profile", "reach_mask-float", "reach_mask-str", "arc-label-float", "arc-label-str",
         "arc-node-bool", "gen_random_directed-t", "path-float-node", "path-empty",
         "edge-node-bool", "edge-node-float", "set-element-float", "set-element-bool",
-        "cover-index-float"])
+        "cover-index-float", "start-label-str", "start-label-none", "start-label-bool",
+        "start-label-float", "edge-conflicting-labels", "spanner-node-count", "arc-self-loop"])
 def test_nodes_labels_and_paths_are_checked(call, error):
-    # a float or bool node, a non-integer label, or a count below its range
-    # ends in a ValueError; a list that is no path of g is not one
+    # a float or bool node, a non-integer label or start label, a count below
+    # its range, a self-loop, conflicting labels or a subgraph of another node
+    # count ends in a ValueError; a list that is no path of g is not one
     g = TemporalGraph(3, {(0, 1): 1, (1, 2): 2, (0, 2): 1})
     if error is None:
         assert call(g) is False

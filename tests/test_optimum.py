@@ -344,11 +344,16 @@ def test_minimum_spanner_budget():
     assert is_temporal_spanner(g, spanner)
 
 
-def test_deep_search_gives_up_on_its_bracket():
-    # 1,035 edges and no spanning class: the search nests one call per
-    # decided edge, past the default recursion limit, so the limit is raised
-    # for the search and restored after it
+def test_deep_search_gives_up_on_its_bracket(monkeypatch):
+    # 1,035 edges and no spanning class: the search goes one frame deeper per
+    # decided edge, past the default recursion limit, on a stack of its own,
+    # so it neither needs nor touches the interpreter's limit
     limit = sys.getrecursionlimit()
+
+    def refuse(_):
+        raise AssertionError("the search must not change the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     with pytest.raises(SearchSpaceExceeded, match=r"optimum in \[49, 102\]$") as info:
         minimum_spanner(gen_random_host(46, 1035, 0), budget_cap=5000)
     assert sys.getrecursionlimit() == limit
