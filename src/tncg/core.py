@@ -11,7 +11,8 @@ pass over a sweep-event list, in descending label order, serves any number
 of sources.  A label class whose pairs share no endpoint (a matching, see
 `_is_matching`) is one event (-label, u, w) per pair, each settled by one
 union; any other class is one event (-label, -1, pairs), merged to a fixed
-point.  A sweep can leave one node out (G - skip) with no copy of the list:
+point.  `_set_class` rewrites one label's events in place from the label's
+pairs.  A sweep can leave one node out (G - skip) with no copy of the list:
 skip's mask is reset to 0 after each matching pair, and other classes, where
 a path of one label could pass through skip, are merged without skip's
 pairs.
@@ -19,6 +20,7 @@ pairs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -232,6 +234,15 @@ def _class_events(label: int, pairs: Iterable[Pair], matching: bool) -> list[tup
     if matching:
         return [(-label, u, w) for u, w in pairs]
     return [(-label, -1, tuple(pairs))]
+
+
+def _set_class(events: list[tuple], label: int, pairs: list[Pair]) -> None:
+    """Rewrite label's slice of a sweep-event list as the events of pairs,
+    the matching flag decided afresh; no pairs leaves no events."""
+    # (-label,) sorts just before the label's events, (1 - label,) just after
+    lo = bisect_left(events, (-label,))
+    hi = bisect_left(events, (1 - label,), lo)
+    events[lo:hi] = _class_events(label, pairs, _is_matching(pairs))
 
 
 def _sweep_events(classes: list[tuple[int, list[Pair], bool]]) -> list[tuple]:

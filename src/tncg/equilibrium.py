@@ -129,13 +129,9 @@ def _check(
     agent that reaches everyone and is `_settled` cannot improve and gets
     no view, every other agent gets a view (one more sweep) and a search.
     All views share one created-graph state, and the audit reuses the views
-    the search built.  A host that is not complete raises ValueError naming
-    its first missing pair before any agent is looked at, settled or not."""
+    the search built."""
     _check_budget(budget_cap)
     state = _CreatedState(host, profile)
-    if not host.is_complete():
-        for v in range(host.n):
-            state.starts(v)             # raises on v's first missing pair
     costs = _agent_costs(state)
     nbrs = [set_to_mask(state.strategies[x] | state.buyers[x]) for x in range(state.n)]
     views: dict[int, _AgentView] = {}
@@ -205,7 +201,7 @@ def _owner_necessary_masks(view: _AgentView) -> dict[int, int]:
     covers of its other endpoints; an antiparallel twin puts cover[w] into
     the in-neighbor covers, so its arc's set comes out empty.
     """
-    return {w: view.cur_mask & ~rest for w, rest in view.dropped().items()}
+    return {w: view.cur_mask & ~rest for w, rest in view.drops()}
 
 
 def necessary_set(

@@ -52,7 +52,7 @@ from .equilibrium import (
     verify_large_node,
 )
 from .errors import PreconditionViolated, SearchSpaceExceeded
-from .game import empty_profile, social_cost
+from .game import CostVector, empty_profile
 from .optimum import minimum_spanner, poa_ratio
 from .responses import exact_best_response
 
@@ -348,8 +348,8 @@ def _freeze_instance(args):
         ge = check_ge(host, profile)
         frozen = freeze_relabel(host, profile)
         ne = check_ne(frozen, profile)
-        sc_before = social_cost(host, profile)
-        sc_after = social_cost(frozen, profile)
+        sc_before = sum(ge.agent_costs, CostVector(0, 0))
+        sc_after = sum(ne.agent_costs, CostVector(0, 0))
         row.update(
             n=host.n,
             t=host.lifetime,

@@ -13,17 +13,17 @@ that scalar view for reporting.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
+    Pair,
     TemporalGraph,
     _check_int,
-    _class_events,
     _is_int,
     _is_matching,
     _reach_sweep,
+    _set_class,
     _sweep_events,
 )
 
@@ -185,31 +185,36 @@ class _CreatedState:
     its sweep-event list (see `core`), labels descending, each pair once
     even when both arcs are bought.  This is the list `core._reach_sweep`
     reads, for every agent's view too, since the sweep leaves the viewing
-    agent out itself.
+    agent out itself.  The host must be complete: an incomplete one raises
+    ValueError naming its first missing pair.
 
-    A move patches only the moving agent's changed arcs: a toggled pair's
-    label slice is found by bisection and rewritten from its pairs with
-    that pair added or removed, the label's matching flag decided afresh.
-    buyers[x] holds the agents that buy an arc to x.  Each agent's starts,
-    (-label(v, w), w) sorted ascending, are cached on first use.
+    pairs[label] lists the label's created pairs in event order.  A move
+    patches only the moving agent's changed arcs: a toggled pair is added
+    to or removed from its label's list, and `core._set_class` rewrites
+    that label's slice of events from the list.  buyers[x] holds the agents
+    that buy an arc to x.  Each agent's starts, (-label(v, w), w) sorted
+    ascending, are cached on first use.
     """
 
-    __slots__ = ("n", "rows", "strategies", "buyers", "events", "_starts")
+    __slots__ = ("n", "rows", "strategies", "buyers", "pairs", "events", "_starts")
 
     def __init__(self, host: TemporalGraph, profile: StrategyProfile):
         n = self.n = host.n
-        self.rows = host._label_rows()
+        rows = self.rows = host._label_rows()
         self.strategies = list(profile.strategies)
         self.buyers: list[set[int]] = [set() for _ in range(n)]
         self._starts: list[list[tuple[int, int]] | None] = [None] * n
-        grouped: dict[int, dict[tuple[int, int], None]] = {}
+        self.pairs: dict[int, list[Pair]] = {}
         for v, w, label in _labelled_arcs(host, profile):
             self.buyers[w].add(v)
             if w not in self.buyers[v]:
-                grouped.setdefault(label, {})[(v, w) if v < w else (w, v)] = None
+                self.pairs.setdefault(label, []).append((v, w) if v < w else (w, v))
+        if not host.is_complete():
+            v, w = next((v, w) for v in range(n) for w in range(v + 1, n) if not rows[v][w])
+            raise ValueError(f"host pair ({v}, {w}) missing; host must be complete")
         # flags in one pass here: a rescan per toggle is quadratic in class size
         self.events = _sweep_events(
-            [(lab, ps, _is_matching(ps)) for lab, ps in sorted(grouped.items())])
+            [(lab, ps, _is_matching(ps)) for lab, ps in sorted(self.pairs.items())])
 
     def move(self, v: int, strategy: frozenset[int]) -> None:
         old = self.strategies[v]
@@ -225,34 +230,21 @@ class _CreatedState:
         if w in self.buyers[v]:
             return
         label = self.rows[v][w]
-        events = self.events
-        # (-label,) sorts just before the label's events, (1 - label,) just after
-        lo = bisect_left(events, (-label,))
-        hi = bisect_left(events, (1 - label,), lo)
-        if hi - lo == 1 and events[lo][1] < 0:
-            pairs = list(events[lo][2])
-        else:
-            pairs = [(a, b) for _, a, b in events[lo:hi]]
+        pairs = self.pairs.setdefault(label, [])
         pair = (v, w) if v < w else (w, v)
         if add:
             pairs.append(pair)
         else:
             pairs.remove(pair)
-        events[lo:hi] = _class_events(label, pairs, _is_matching(pairs))
+        _set_class(self.events, label, pairs)
 
     def starts(self, v: int) -> list[tuple[int, int]]:
         """(-label(v, w), w) for each endpoint w, ascending: the sweep reads
         w's cover at the label of its pair with v."""
         got = self._starts[v]
         if got is None:
-            got = []
-            for w, label in enumerate(self.rows[v]):
-                if label:
-                    got.append((-label, w))
-                elif w != v:
-                    raise ValueError(f"host pair ({v}, {w}) missing; host must be complete")
-            got.sort()
-            self._starts[v] = got
+            got = self._starts[v] = sorted(
+                (-label, w) for w, label in enumerate(self.rows[v]) if label)
         return got
 
 

@@ -64,7 +64,7 @@ class _AgentView:
         self.cur_mask = cur
         self.cur_cost = CostVector(n - cur.bit_count(), len(self.current))
 
-    def _drops(self):
+    def drops(self):
         """(w, reach without arc (v, w)) per current endpoint w, in the
         set's own order: base | in_mask with the prefix and suffix unions
         of the other current covers."""
@@ -77,10 +77,6 @@ class _AgentView:
         for i, w in enumerate(own):
             yield w, prefix | suffix[i + 1]
             prefix |= covers[w]
-
-    def dropped(self) -> dict[int, int]:
-        """Reach without each current arc (v, w), keyed by w ascending."""
-        return dict(sorted(self._drops()))
 
     def greedy(self) -> tuple[frozenset[int], CostVector]:
         """Best single-arc toggle and its cost; (current, cur_cost) if none improves.
@@ -105,7 +101,7 @@ class _AgentView:
                 if pop > best_pop:
                     best_w, best_pop = w, pop
             return current | {best_w}, CostVector(self.n - best_pop, len(current) + 1)
-        drop = max((w for w, mask in self._drops() if mask == full), default=-1)
+        drop = max((w for w, mask in self.drops() if mask == full), default=-1)
         if drop >= 0:
             return current - {drop}, CostVector(0, len(current) - 1)
         return current, self.cur_cost
@@ -117,32 +113,20 @@ class _AgentView:
     def exact(self, budget_cap: int) -> tuple[frozenset[int], CostVector]:
         """Cost-minimal strategy and its cost; see exact_best_response."""
         _check_budget(budget_cap)
-        current = self.current
-        n = self.n
-        full = (1 << n) - 1
-        universe = full & ~(self.base | self.in_mask)
-        if universe == 0:
-            if current:
-                return frozenset(), CostVector(0, 0)
-            return current, self.cur_cost
-        cands = []
-        for w in range(n):
-            if w != self.v and self.covers[w] & universe:
-                cands.append((w, self.covers[w] & universe))
-        cap = len(current) - 1 if self.cur_cost.unreached == 0 else len(cands)
-        # each w in universe covers itself on a complete host: cands is non-empty
+        universe = ((1 << self.n) - 1) & ~(self.base | self.in_mask)
+        # covers[v] is 0, and each w in universe covers itself on a complete
+        # host, so cands is empty only when v already reaches everyone
+        cands = [(w, cover & universe) for w, cover in enumerate(self.covers) if cover & universe]
+        if not cands:
+            return frozenset(), CostVector(0, 0)
+        cap = len(self.current) - 1 if self.cur_cost.unreached == 0 else len(cands)
         max_pop = max(m.bit_count() for _, m in cands)
         lower = -(-universe.bit_count() // max_pop)
         state = [0, budget_cap]
-        found: int | None = None
         for r in range(lower, cap + 1):
             if _exists_cover(universe, cands, 0, r, state):
-                found = r
-                break
-        if found is None:
-            return current, self.cur_cost
-        strategy = _lex_min_cover(universe, cands, found, state)
-        return frozenset(strategy), CostVector(0, found)
+                return frozenset(_lex_min_cover(universe, cands, r, state)), CostVector(0, r)
+        return self.current, self.cur_cost
 
 
 def greedy_best_response(
@@ -158,33 +142,12 @@ def greedy_best_response(
     return strategy, cost < view.cur_cost
 
 
-def _choose_element(rem: int, cands: list[tuple[int, int]], start: int) -> tuple[int, int]:
-    """Uncovered element with the fewest remaining covering candidates.
-
-    Returns (bit, count); count 0 means the remainder is uncoverable.
-    """
-    best_bit, best_count = -1, -1
-    probe = rem
-    while probe:
-        low = probe & -probe
-        probe ^= low
-        count = 0
-        for i in range(start, len(cands)):
-            if cands[i][1] & low:
-                count += 1
-                if best_count != -1 and count >= best_count:
-                    break
-        if count == 0:
-            return low, 0
-        if best_count == -1 or count < best_count:
-            best_bit, best_count = low, count
-    return best_bit, best_count
-
-
 def _exists_cover(
     rem: int, cands: list[tuple[int, int]], start: int, r: int, state: list[int]
 ) -> bool:
-    """Can candidates[start:] cover rem with at most r sets?"""
+    """Can candidates[start:] cover rem with at most r sets?  Branches on
+    the first uncovered element with the fewest covering candidates; one
+    that none covers has the fewest, and no branch."""
     state[0] += 1
     if state[0] > state[1]:
         raise SearchSpaceExceeded(
@@ -201,9 +164,19 @@ def _exists_cover(
             max_pop = gain
     if max_pop * r < rem.bit_count():
         return False
-    bit, count = _choose_element(rem, cands, start)
-    if count == 0:
-        return False
+    bit, fewest = 0, len(cands) + 1
+    probe = rem
+    while probe:
+        low = probe & -probe
+        probe ^= low
+        count = 0
+        for i in range(start, len(cands)):
+            if cands[i][1] & low:
+                count += 1
+                if count >= fewest:
+                    break
+        if count < fewest:
+            bit, fewest = low, count
     for i in range(start, len(cands)):
         if cands[i][1] & bit:
             if _exists_cover(rem & ~cands[i][1], cands, start, r - 1, state):

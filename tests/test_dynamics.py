@@ -20,10 +20,12 @@ from tncg import (
     gen_random_host,
     gen_random_profile,
     gen_t2_equilibrium,
+    greedy_best_response,
     minimum_spanner,
     poa_ratio,
     replay,
     run_dynamics,
+    social_cost,
     trace_from_dict,
 )
 
@@ -194,6 +196,24 @@ def test_replay_rejects_tampered_trace():
         replay(trace_from_dict(data))
 
 
+def test_replay_rejects_edited_final_profile():
+    host, profile, schedule = gen_br_cycle()
+    data = run_dynamics(host, profile, schedule=schedule, rule="exact").as_dict()
+    data["final"] = (() if data["final"][0] else (1,), *data["final"][1:])
+    with pytest.raises(ValueError, match="^replayed final profile differs from the recorded one$"):
+        replay(trace_from_dict(data))
+
+
+@pytest.mark.parametrize("rule, outcome", [("greedy", OUTCOME_GE), ("exact", OUTCOME_NE)])
+def test_one_node_host_converges_at_once(rule, outcome):
+    # agent 0 has no endpoint: its view sweeps with an empty start list
+    host, start = TemporalGraph(1, {}), StrategyProfile(1, [set()])
+    trace = run_dynamics(host, start, rule=rule)
+    assert (trace.outcome, trace.activations, trace.moves) == (outcome, 1, [])
+    assert greedy_best_response(host, start, 0) == (frozenset(), False)
+    assert exact_best_response(host, start, 0)[0] == frozenset()
+
+
 def _pinned_traces():
     """Traces over every schedule kind, both rules, empty and random starts,
     with and without a step cap; the br-cycle gadget adds cycling runs."""
@@ -274,6 +294,21 @@ def test_incomplete_host_is_rejected_by_name():
     for check in (check_ne, check_ge):
         with pytest.raises(ValueError, match=message):
             check(host, StrategyProfile(3, [{1}, {2}, set()]))
+    # every cost, response and dynamics run rejects the host too, even where
+    # no sweep would read the missing pair
+    host = TemporalGraph(3, {(0, 1): 1, (1, 2): 2})
+    profile = StrategyProfile(3, [{1}, set(), set()])
+    calls = [
+        lambda: agent_cost(host, profile, 0),
+        lambda: social_cost(host, profile),
+        lambda: poa_ratio(host, profile),
+        lambda: greedy_best_response(host, profile, 1),
+        lambda: exact_best_response(host, profile, 1),
+        lambda: run_dynamics(host, profile, schedule=[1]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_negative_budgets_are_rejected():

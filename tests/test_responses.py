@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -21,9 +22,10 @@ from tncg import (
     run_dynamics,
     social_cost,
 )
+from tncg import responses
 from tncg.core import mask_to_set, reach_evaluations, reset_reach_evaluations
 from tncg.game import _CreatedState
-from tncg.responses import _AgentView
+from tncg.responses import _AgentView, _exists_cover
 
 from oracles import (
     brute_agent_cost,
@@ -220,6 +222,52 @@ def test_exact_budget_exhaustion_raises():
     p = profile.with_strategy(0, set())
     with pytest.raises(SearchSpaceExceeded):
         exact_best_response(host, p, 0, budget_cap=0)
+
+
+def _record_cover_evaluations(monkeypatch) -> list[int]:
+    """A one-item list counting the exact search's cover evaluations."""
+    count = [0]
+    search = responses._exists_cover
+
+    def counted(*args):
+        count[0] += 1
+        return search(*args)
+
+    monkeypatch.setattr(responses, "_exists_cover", counted)
+    return count
+
+
+def test_exact_search_is_pinned(monkeypatch):
+    # every agent's exact response on 40 random profiles: the answers and the
+    # exact number of cover evaluations, which a budget one short must miss
+    count = _record_cover_evaluations(monkeypatch)
+    digest = hashlib.sha256()
+    searches = []
+    for n in range(6, 11):
+        for t in (3, n):
+            for seed in range(4):
+                host = gen_random_host(n, t, seed)
+                profile = gen_random_profile(host, n, seed)
+                for v in range(n):
+                    before = count[0]
+                    strategy, cost = exact_best_response(host, profile, v)
+                    digest.update(repr((sorted(strategy), cost.unreached, cost.edges)).encode())
+                    searches.append((count[0] - before, host, profile, v))
+    assert (len(searches), count[0]) == (320, 3322)
+    assert digest.hexdigest() == (
+        "7c116271721fcc4e88ceeb07333dc5541a142797b665a5af9a9b6676b88f4f4d")
+    for used, host, profile, v in sorted(searches, key=lambda case: -case[0])[:5]:
+        answer = exact_best_response(host, profile, v)
+        assert exact_best_response(host, profile, v, budget_cap=used) == answer
+        with pytest.raises(SearchSpaceExceeded):
+            exact_best_response(host, profile, v, budget_cap=used - 1)
+
+
+def test_exists_cover_fails_at_once_on_an_uncovered_element():
+    # no candidate from index 1 on covers bit 2: one evaluation, no branch
+    state = [0, 100]
+    assert not _exists_cover(0b111, [(0, 0b001), (1, 0b011)], 1, 2, state)
+    assert state == [1, 100]
 
 
 def test_exact_empty_universe_prefers_empty_strategy():
