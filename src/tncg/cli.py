@@ -117,7 +117,8 @@ def _cmd_br(args) -> int:
     profile = load_profile(args.profile, n=host.n)
     view = _AgentView(_CreatedState(host, profile), args.agent)
     rule = "exact" if args.exact else "greedy"
-    strategy, cost = view.best(rule, args.budget)
+    got = view.best(rule, args.budget)
+    strategy, cost = got or (view.current, view.cur_cost)
     _emit(
         args.format,
         {
@@ -126,7 +127,7 @@ def _cmd_br(args) -> int:
             "strategy": sorted(strategy),
             "cost": cost.as_dict(host.n * host.n),
             "cost_before": view.cur_cost.as_dict(host.n * host.n),
-            "improving": cost < view.cur_cost,
+            "improving": got is not None,
         },
     )
     return 0

@@ -377,6 +377,7 @@ def _sample_arcs(n: int, arc_count: int, rng: random.Random) -> list[tuple[int, 
 
 def gen_random_profile(host: TemporalGraph, arc_count: int, seed: int) -> StrategyProfile:
     """Uniformly sampled distinct arcs; experiment plumbing."""
+    _check_int("arc_count", arc_count)
     _check_int("seed", seed)
     strategies: list[set[int]] = [set() for _ in range(host.n)]
     for (u, v) in _sample_arcs(host.n, arc_count, random.Random(seed)):

@@ -110,16 +110,19 @@ class TemporalGraph:
     def is_complete(self) -> bool:
         return len(self.edges) == self.n * (self.n - 1) // 2
 
+    def _check_complete(self) -> None:
+        """ValueError naming the lexicographically first missing pair, if any."""
+        if not self.is_complete():
+            u, v = next((u, v) for u in range(self.n) for v in range(u + 1, self.n)
+                        if (u, v) not in self.edges)
+            raise ValueError(f"host pair ({u}, {v}) missing; host must be complete")
+
     def validate_host(self) -> None:
         """Hosts must be complete with labels exactly {1..lifetime}.
 
         Raises ValueError on the first violation found.
         """
-        if not self.is_complete():
-            raise ValueError(
-                f"host must be complete: {self.edge_count} edges, "
-                f"expected {self.n * (self.n - 1) // 2}"
-            )
+        self._check_complete()
         present = set(self.edges.values())
         if present:
             t = max(present)

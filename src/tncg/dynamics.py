@@ -1,10 +1,11 @@
 """Improving-response dynamics: schedulers, move rules, cycle detection.
 
 A run activates one agent at a time; the agent moves iff its rule (greedy or
-exact best response) strictly improves its cost vector.  States are recorded
-after every applied move, keyed by the exact canonical profile, so revisits
-are detected exactly rather than probabilistically.  The game has no finite
-improvement property, so cycles are a real outcome, not an error.
+exact best response) strictly improves its cost vector.  A run keeps one
+profile, its created-graph state's frozensets, and after each applied move
+keys the state by their tuple, equal exactly when the profiles are, so
+revisits are detected exactly rather than probabilistically.  The game has
+no finite improvement property, so cycles are a real outcome, not an error.
 """
 
 from __future__ import annotations
@@ -115,18 +116,17 @@ def run_dynamics(
         schedule_name = "explicit"
 
     state = _CreatedState(host, profile)
-    key = profile.canonical()
     trace = DynamicsTrace(
         n=n,
         rule=rule,
         schedule=schedule_name,
         seed=seed,
         max_steps=max_steps,
-        initial=key,
+        initial=profile.canonical(),
     )
     converged_outcome = OUTCOME_GE if rule == "greedy" else OUTCOME_NE
-    seen: dict[tuple, int] = {key: 0}
-    rng = random.Random(seed)
+    seen: dict[tuple, int] = {tuple(state.strategies): 0}
+    rng = random.Random(seed) if schedule_name == "random" else None
     quiet = 0
     while True:
         if explicit is not None:
@@ -145,16 +145,17 @@ def run_dynamics(
             v = rng.randrange(n)
         trace.activations += 1
         view = _AgentView(state, v)
-        strategy, cost = view.best(rule, budget_cap)
-        if not (cost < view.cur_cost):
+        got = view.best(rule, budget_cap)
+        if got is None:
             quiet += 1
             continue
+        strategy, cost = got
         state.move(v, strategy)
-        new = tuple(sorted(strategy))
-        trace.moves.append(Move(step=len(trace.moves) + 1, agent=v, old=key[v], new=new,
+        trace.moves.append(Move(step=len(trace.moves) + 1, agent=v,
+                                old=tuple(sorted(view.current)), new=tuple(sorted(strategy)),
                                 cost_before=view.cur_cost, cost_after=cost))
         quiet = 0
-        key = key[:v] + (new,) + key[v + 1:]
+        key = tuple(state.strategies)
         if key in seen:
             trace.outcome = OUTCOME_CYCLE
             trace.entry = seen[key]
@@ -165,7 +166,7 @@ def run_dynamics(
             trace.outcome = OUTCOME_CAP
             break
 
-    trace.final = key
+    trace.final = tuple(tuple(sorted(s)) for s in state.strategies)
     return trace
 
 
@@ -176,11 +177,13 @@ def final_profile(trace: DynamicsTrace) -> StrategyProfile:
 def replay(trace: DynamicsTrace) -> StrategyProfile:
     """Re-apply the recorded moves from the initial profile.
 
-    Verifies that each move's old strategy matches the evolving state and
-    that the result equals the recorded final profile.
+    Verifies that each move's agent is a node, its old strategy matches the
+    evolving state, and the result equals the recorded final profile.
     """
     profile = StrategyProfile(trace.n, [set(s) for s in trace.initial])
     for move in trace.moves:
+        if not (_is_int(move.agent) and 0 <= move.agent < trace.n):
+            raise ValueError(f"trace mismatch at step {move.step}: agent {move.agent!r} out of range")
         current = tuple(sorted(profile.strategies[move.agent]))
         if current != move.old:
             raise ValueError(

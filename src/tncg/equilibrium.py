@@ -140,9 +140,9 @@ def _check(
         if costs[v].unreached == 0 and _settled(state, nbrs, v):
             continue
         view = views[v] = _AgentView(state, v)
-        strategy, cost = view.best(rule, budget_cap)
-        if cost < view.cur_cost:
-            witness = (v, tuple(sorted(strategy)))
+        got = view.best(rule, budget_cap)
+        if got is not None:
+            witness = (v, tuple(sorted(got[0])))
             break
     return EquilibriumReport(
         mode="ge" if rule == "greedy" else "ne",
@@ -194,16 +194,6 @@ def _settled(state: _CreatedState, nbrs: list[int], v: int) -> bool:
     return True
 
 
-def _owner_necessary_masks(view: _AgentView) -> dict[int, int]:
-    """Necessary-set mask of each arc (u, w) the view's agent u buys, keyed by w.
-
-    Without the arc, u reaches its base and in-neighbor covers plus the
-    covers of its other endpoints; an antiparallel twin puts cover[w] into
-    the in-neighbor covers, so its arc's set comes out empty.
-    """
-    return {w: view.cur_mask & ~rest for w, rest in view.drops()}
-
-
 def necessary_set(
     host: TemporalGraph, profile: StrategyProfile, u: int, w: int
 ) -> set[int]:
@@ -217,7 +207,7 @@ def necessary_set(
         raise ValueError(f"agent {u}: endpoint {w!r} out of range")
     if w not in view.current:
         raise ValueError(f"arc ({u}, {w}) is not present in the profile")
-    return mask_to_set(_owner_necessary_masks(view)[w])
+    return mask_to_set(view.necessary()[w])
 
 
 def _necessary_masks(state: _CreatedState, views: dict) -> dict[tuple[int, int], int]:
@@ -226,7 +216,7 @@ def _necessary_masks(state: _CreatedState, views: dict) -> dict[tuple[int, int],
         (u, w): mask
         for u in range(state.n)
         if state.strategies[u]
-        for w, mask in _owner_necessary_masks(views.get(u) or _AgentView(state, u)).items()
+        for w, mask in (views.get(u) or _AgentView(state, u)).necessary().items()
     }
 
 

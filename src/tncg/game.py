@@ -200,7 +200,7 @@ class _CreatedState:
 
     def __init__(self, host: TemporalGraph, profile: StrategyProfile):
         n = self.n = host.n
-        rows = self.rows = host._label_rows()
+        self.rows = host._label_rows()
         self.strategies = list(profile.strategies)
         self.buyers: list[set[int]] = [set() for _ in range(n)]
         self._starts: list[list[tuple[int, int]] | None] = [None] * n
@@ -209,9 +209,7 @@ class _CreatedState:
             self.buyers[w].add(v)
             if w not in self.buyers[v]:
                 self.pairs.setdefault(label, []).append((v, w) if v < w else (w, v))
-        if not host.is_complete():
-            v, w = next((v, w) for v in range(n) for w in range(v + 1, n) if not rows[v][w])
-            raise ValueError(f"host pair ({v}, {w}) missing; host must be complete")
+        host._check_complete()
         # flags in one pass here: a rescan per toggle is quadratic in class size
         self.events = _sweep_events(
             [(lab, ps, _is_matching(ps)) for lab, ps in sorted(self.pairs.items())])

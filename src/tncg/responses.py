@@ -19,12 +19,12 @@ A view reads a `game._CreatedState`: its one sweep-event list, kept across a
 whole dynamics run and shared as is by every view of one check, and v's
 start list, sorted once per state, with labels from the host's label table,
 so no graph is built, no arc regrouped and no list copied or sorted per
-view.  The view is the one place that searches for an agent's best
-strategy, and `best` the one place that maps a rule to its search:
-dynamics, `tncg br` and the equilibrium checks call it, and the structural
-audit reads necessary sets off its covers.  A check builds no view for an agent it can
-settle from the created graph alone (`equilibrium._settled`); dynamics
-activates every agent through a view.
+view.  The view decides an agent's moves: `best`, the one improvement
+test, maps a rule to its search and returns a strategy only when it
+strictly lowers the cost, and `necessary()` is the one necessary-set
+computation, for greedy's drops and the structural audit.  A check builds
+no view for an agent it can settle from the created graph alone
+(`equilibrium._settled`); dynamics activates every agent through a view.
 """
 
 from __future__ import annotations
@@ -64,19 +64,22 @@ class _AgentView:
         self.cur_mask = cur
         self.cur_cost = CostVector(n - cur.bit_count(), len(self.current))
 
-    def drops(self):
-        """(w, reach without arc (v, w)) per current endpoint w, in the
-        set's own order: base | in_mask with the prefix and suffix unions
-        of the other current covers."""
-        covers = self.covers
+    def necessary(self) -> dict[int, int]:
+        """Necessary-set mask per current endpoint w, the nodes v reaches only
+        through arc (v, w): cur_mask less base | in_mask and the prefix and
+        suffix unions of the other covers.  An antiparallel twin puts
+        cover[w] into in_mask, so its arc's set is empty."""
+        covers, cur = self.covers, self.cur_mask
         own = tuple(self.current)
         suffix = [0] * (len(own) + 1)
         for i in range(len(own) - 1, -1, -1):
             suffix[i] = suffix[i + 1] | covers[own[i]]
         prefix = self.base | self.in_mask
+        masks = {}
         for i, w in enumerate(own):
-            yield w, prefix | suffix[i + 1]
+            masks[w] = cur & ~(prefix | suffix[i + 1])
             prefix |= covers[w]
+        return masks
 
     def greedy(self) -> tuple[frozenset[int], CostVector]:
         """Best single-arc toggle and its cost; (current, cur_cost) if none improves.
@@ -87,12 +90,11 @@ class _AgentView:
         smallest set).  On a complete host an agent that misses some z has
         an improving add, since covers[z] holds z, and one that reaches
         everyone has none, so only the latter look at drops: a drop improves
-        when it keeps everyone reached, and the largest such w gives the
-        lexicographically smallest set.
+        when it keeps everyone reached, so when its arc's necessary set is
+        empty, and the largest such w gives the lexicographically smallest set.
         """
         current, cur = self.current, self.cur_mask
-        full = (1 << self.n) - 1
-        if cur != full:
+        if cur != (1 << self.n) - 1:
             # covers[v] is 0, and the cover of a current endpoint lies within
             # cur_mask, so neither can win an add
             best_w, best_pop = -1, cur.bit_count()
@@ -101,14 +103,16 @@ class _AgentView:
                 if pop > best_pop:
                     best_w, best_pop = w, pop
             return current | {best_w}, CostVector(self.n - best_pop, len(current) + 1)
-        drop = max((w for w, mask in self.drops() if mask == full), default=-1)
+        drop = max((w for w, mask in self.necessary().items() if not mask), default=-1)
         if drop >= 0:
             return current - {drop}, CostVector(0, len(current) - 1)
         return current, self.cur_cost
 
-    def best(self, rule: str, budget_cap: int) -> tuple[frozenset[int], CostVector]:
-        """The best strategy under rule ("greedy" or "exact") and its cost."""
-        return self.greedy() if rule == "greedy" else self.exact(budget_cap)
+    def best(self, rule: str, budget_cap: int) -> tuple[frozenset[int], CostVector] | None:
+        """The best strategy under rule ("greedy" or "exact") and its cost,
+        or None when it does not strictly improve on the current cost."""
+        got = self.greedy() if rule == "greedy" else self.exact(budget_cap)
+        return got if got[1] < self.cur_cost else None
 
     def exact(self, budget_cap: int) -> tuple[frozenset[int], CostVector]:
         """Cost-minimal strategy and its cost; see exact_best_response."""
@@ -138,8 +142,8 @@ def greedy_best_response(
     lexicographically smallest resulting endpoint set.  Uses one reach sweep.
     """
     view = _AgentView(_CreatedState(host, profile), v)
-    strategy, cost = view.greedy()
-    return strategy, cost < view.cur_cost
+    got = view.best("greedy", DEFAULT_BUDGET)
+    return (got[0], True) if got is not None else (view.current, False)
 
 
 def _exists_cover(

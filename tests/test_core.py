@@ -386,11 +386,14 @@ def test_edges_are_read_only_and_pickle():
     (lambda h, p, out: gen_random_directed(3, 2, 1, 1.5), "seed"),
     (lambda h, p, out: gen_random_setcover(4, 3, True), "seed"),
     (lambda h, p, out: run_dynamics(h, p, schedule="random", seed=None), "seed"),
+    (lambda h, p, out: gen_random_profile(h, True, 0), "arc_count"),
+    (lambda h, p, out: gen_random_profile(h, 2.0, 0), "arc_count"),
 ], ids=["minimum_spanner", "check_ne", "run_dynamics", "run_experiment", "TemporalGraph",
         "gen_random_host-t", "gen_random_host-n", "StrategyProfile-float", "StrategyProfile-bool",
         "gen_hypercube", "gen_t2_family", "SetCoverInstance-float", "SetCoverInstance-bool",
         "gen_random_directed-arc_count", "gen_random_host-seed", "gen_random_profile-seed",
-        "gen_random_directed-seed", "gen_random_setcover-seed", "run_dynamics-seed"])
+        "gen_random_directed-seed", "gen_random_setcover-seed", "run_dynamics-seed",
+        "gen_random_profile-arc_count-bool", "gen_random_profile-arc_count-float"])
 def test_integer_parameters_reject_bool_and_float_by_name(call, name, tmp_path):
     # a bool would stand for 0 or 1, and a float would be compared as a count;
     # a seed of None would draw from the OS and make the run irreproducible

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from tncg import (
+    FormatError,
     OUTCOME_CAP,
     OUTCOME_CYCLE,
     OUTCOME_GE,
@@ -22,6 +23,7 @@ from tncg import (
     gen_t2_equilibrium,
     greedy_best_response,
     minimum_spanner,
+    parse_host,
     poa_ratio,
     replay,
     run_dynamics,
@@ -194,6 +196,12 @@ def test_replay_rejects_tampered_trace():
     data["moves"][0]["old"] = [0]
     with pytest.raises(ValueError):
         replay(trace_from_dict(data))
+    # a move agent that is no node of a 4-node trace is named with its step
+    data = run_dynamics(gen_random_host(4, 3, 0), StrategyProfile(4, [set()] * 4)).as_dict()
+    for agent in (7, 1.0, -1, True):
+        data["moves"][0]["agent"] = agent
+        with pytest.raises(ValueError, match=rf"^trace mismatch at step 1: agent {agent} out of range$"):
+            replay(trace_from_dict(data))
 
 
 def test_replay_rejects_edited_final_profile():
@@ -309,6 +317,12 @@ def test_incomplete_host_is_rejected_by_name():
     for call in calls:
         with pytest.raises(ValueError, match=message):
             call()
+    # the host checks of the file reader and the generators name it too
+    with pytest.raises(ValueError, match=message):
+        host.validate_host()
+    with pytest.raises(FormatError, match=r"^h\.tg: host pair \(0, 2\) missing; host must be complete$") as err:
+        parse_host("3 2\n0 1 1\n1 2 2\n", path="h.tg")
+    assert err.value.line is None
 
 
 def test_negative_budgets_are_rejected():

@@ -35,7 +35,7 @@ from tncg import (
     verify_large_node,
 )
 from tncg import equilibrium
-from tncg.core import reach_evaluations, reset_reach_evaluations
+from tncg.core import mask_to_set, reach_evaluations, reset_reach_evaluations
 from tncg.equilibrium import _ceil_sqrt_over, _dense_below_threshold, _find_forbidden
 from tncg.game import _CreatedState
 from tncg.responses import _AgentView
@@ -120,6 +120,42 @@ def test_necessary_set_matches_reach_difference():
                 rest = TemporalGraph(und.n, {q: lab for q, lab in und.edges.items() if q != pair})
             expect = brute_reach(und, u) - brute_reach(rest, u)
             assert necessary_set(host, p, u, w) == expect
+
+
+def test_necessary_masks_match_reach_difference_on_many_arcs():
+    # owners of >= 3 arcs, where each arc's mask needs both a prefix and a
+    # suffix union of the other covers: node 0 of the 3-cube and profiles
+    # with 2n arcs on n = 7; necessary() and necessary_set against the
+    # reach difference of the created graph with and without the arc's pair
+    host, profile = gen_hypercube(3)
+    assert len(profile[0]) == 3
+    cases = [(host, profile)]
+    rng = random.Random(3403)
+    for _ in range(25):
+        host = gen_random_host(7, rng.randint(1, 6), rng.randrange(10**6))
+        cases.append((host, gen_random_profile(host, 14, rng.randrange(10**6))))
+    owners = middles = nonempty = 0
+    for host, p in cases:
+        und = brute_created_graph(host, p)
+        state = _CreatedState(host, p)
+        for u in range(host.n):
+            if len(p[u]) < 3:
+                continue
+            owners += 1
+            masks = _AgentView(state, u).necessary()
+            assert set(masks) == p[u]
+            own = list(p[u])
+            for i, w in enumerate(own):
+                middles += 0 < i < len(own) - 1
+                nonempty += masks[w] != 0
+                if u in p[w]:
+                    rest = und
+                else:
+                    pair = (min(u, w), max(u, w))
+                    rest = TemporalGraph(und.n, {q: lab for q, lab in und.edges.items() if q != pair})
+                expect = brute_reach(und, u) - brute_reach(rest, u)
+                assert mask_to_set(masks[w]) == expect == necessary_set(host, p, u, w)
+    assert owners >= 40 and middles >= 60 and nonempty >= 15, (owners, middles, nonempty)
 
 
 def test_necessary_set_empty_for_antiparallel():

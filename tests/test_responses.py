@@ -25,7 +25,7 @@ from tncg import (
 from tncg import responses
 from tncg.core import mask_to_set, reach_evaluations, reset_reach_evaluations
 from tncg.game import _CreatedState
-from tncg.responses import _AgentView, _exists_cover
+from tncg.responses import DEFAULT_BUDGET, _AgentView, _exists_cover
 
 from oracles import (
     brute_agent_cost,
@@ -190,6 +190,39 @@ def test_exact_matches_brute_force_randomized():
             assert s == p[v]
         else:
             assert s == bs
+
+
+def test_best_is_none_exactly_without_a_strict_improvement():
+    # `best` is the one improvement test: None for exact exactly when no
+    # strategy has a strictly lower cost, for greedy exactly when no single
+    # toggle has; a returned strategy's cost, recomputed from scratch, is the
+    # returned cost.  Random profiles, and greedy equilibria, where a swap
+    # can still improve on a strategy no single toggle improves on
+    rng = random.Random(3402)
+    cases = []
+    for _ in range(40):
+        n = rng.randint(3, 6)
+        host = gen_random_host(n, rng.randint(1, n * (n - 1) // 2), rng.randrange(10**6))
+        p = gen_random_profile(host, rng.randint(0, 2 * n), rng.randrange(10**6))
+        cases += [(host, p), (host, StrategyProfile(n, run_dynamics(host, p).final))]
+    seen = set()
+    for host, p in cases:
+        state = _CreatedState(host, p)
+        for v in range(host.n):
+            view = _AgentView(state, v)
+            before = brute_agent_cost(host, p, v)
+            toggles = [brute_agent_cost(host, p.with_strategy(v, p[v] ^ {w}), v)
+                       for w in range(host.n) if w != v]
+            improves = (min(toggles) < before, brute_best_response(host, p, v)[1] < before)
+            for rule, improving in zip(("greedy", "exact"), improves):
+                got = view.best(rule, DEFAULT_BUDGET)
+                assert (got is not None) == improving, (rule, host.edges, p.canonical(), v)
+                if got is not None:
+                    assert got[0] != p[v]
+                    assert agent_cost(host, p.with_strategy(v, got[0]), v) == got[1]
+            seen.add(improves)
+    # every combination but a greedy move without an exact one occurs
+    assert seen == {(False, False), (False, True), (True, True)}
 
 
 def test_exact_keeps_current_strategy_at_equilibrium():
